@@ -32,8 +32,6 @@ from .jordan import (
     triple_product,
 )
 from .linalg import (
-    BlockStructure,
-    block_diag,
     commutator,
     hermitian_sqrt,
     is_unitary,
@@ -73,71 +71,5 @@ from .weights import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "connection",
-    "errors",
-    "jordan",
-    "jsonio",
-    "linalg",
-    "quiver",
-    "selftest",
-    "weights",
-    "CheckReport",
-    "ConnectionData",
-    "FrameTuple",
-    "PurityResult",
-    "PurityWitness",
-    "TorusWitness",
-    "Witness",
-    "check_stabilizer_sums",
-    "check_torus_multirank",
-    "gauge",
-    "involution",
-    "is_hermitian",
-    "is_pure",
-    "validate_covariance",
-    "ConstantField",
-    "QuadraticField",
-    "SpectralDecomposition",
-    "TripleSpace",
-    "are_orthogonal",
-    "field_bracket",
-    "is_tripotent",
-    "quadratic_field",
-    "reconstruct",
-    "spectral",
-    "triple_product",
-    "BlockStructure",
-    "block_diag",
-    "commutator",
-    "hermitian_sqrt",
-    "is_unitary",
-    "lie_sharp",
-    "sharp",
-    "Arrow",
-    "DoubleQuiver",
-    "DoubleQuiverRep",
-    "EquivalenceCertificate",
-    "InvariantVector",
-    "Quiver",
-    "chain_quiver",
-    "double",
-    "enumerate_cycles",
-    "equivalence_certificate",
-    "from_connection",
-    "gauge_action",
-    "invariants",
-    "moment_map",
-    "to_connection",
-    "Chain",
-    "ChainDecomposition",
-    "WeightBlock",
-    "WeightData",
-    "WeightDecomposition",
-    "chains",
-    "commutant_contains",
-    "commutant_dim",
-    "decompose",
-    "f_of",
-    "sample_commutant",
-]
+# The public names are exactly the modules and names imported above.
+__all__ = sorted(name for name in globals() if not name.startswith("_"))

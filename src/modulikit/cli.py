@@ -9,9 +9,11 @@ Reports are byte-identical for a fixed seed and inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,14 +24,24 @@ from .linalg import DEFAULT_TOL
 SEED_ENV_VAR = "MODULIKIT_SEED"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list[str]
-    tol: float
-    max_len: int | None
-    convention: str
-    seed: int
+@dataclass(frozen=True)
+class Command:
+    """One row of the command table.
+
+    ``inputs`` names the wire format of each ``--input`` in order: kind
+    ``k`` is decoded by ``jsonio.k_from_json``, looked up at call time so
+    that a function replaced on ``jsonio`` is the one called.  Its length
+    is the required ``--input`` count.  ``tol_key`` is the key
+    under which the report's ``tolerances_used`` records ``--tol``, or
+    None when the command takes no tolerance.  ``run(args, *decoded)``
+    returns the exit code and the report fields; the fields may override
+    the default ``violations`` and ``tolerances_used``.
+    """
+
+    help: str
+    inputs: tuple[str, ...]
+    tol_key: str | None
+    run: Callable[..., tuple[int, dict]]
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -44,6 +56,126 @@ def _resolve_seed(value: int | None) -> int:
     return 0
 
 
+def _exit(ok: bool) -> int:
+    return 0 if ok else 1
+
+
+def _decompose(args, w):
+    d = weights.decompose(w)
+    blocks = [{"weight": list(b.weight), "indices": list(b.indices)} for b in d.blocks]
+    chain_rows = None
+    if d.rank == 1:
+        chain_rows = [
+            {"base_weight": c.base_weight, "dims": list(c.dims), "indices": [list(ix) for ix in c.indices]}
+            for c in weights.chains(d).chains
+        ]
+    return 0, {"result": {"rank": d.rank, "dim": d.dim, "blocks": blocks, "chains": chain_rows}}
+
+
+def _validate(args, c):
+    report = connection.validate_covariance(c, tol=args.tol, seed=args.seed)
+    return _exit(report.ok), {
+        "result": "pass" if report.ok else "fail",
+        "worst": report.worst,
+        "checks": report.checks,
+        "violations": [asdict(v) for v in report.violations],
+    }
+
+
+def _pure(args, t):
+    result = connection.is_pure(t, tol=args.tol)
+    return _exit(result.pure), {
+        "result": bool(result.pure),
+        "witness": asdict(result.witness) if result.witness else None,
+    }
+
+
+def _hermitian(args, c):
+    verdict = connection.is_hermitian(c, tol=args.tol)
+    return _exit(verdict), {"result": bool(verdict)}
+
+
+def _invariants(args, rep):
+    vec = quiver.invariants(rep, max_len=args.max_len)
+    entries = {",".join(word): jsonio.complex_to_json(t) for word, t in vec.entries.items()}
+    return 0, {"result": {"max_len": vec.max_len, "entries": entries}}
+
+
+def _equiv(args, r1, r2):
+    cert = quiver.equivalence_certificate(r1, r2, max_len=args.max_len, tol=args.tol)
+    payload = {"verdict": cert.verdict, "max_len": cert.max_len}
+    if cert.distinct:
+        payload["witness"] = ",".join(cert.witness)
+        payload["left_trace"] = jsonio.complex_to_json(cert.left_trace)
+        payload["right_trace"] = jsonio.complex_to_json(cert.right_trace)
+    return _exit(not cert.distinct), {"result": payload}
+
+
+def _moment(args, rep):
+    mus = quiver.moment_map(rep, convention=args.convention)
+    worst = max((float(np.max(np.abs(mu))) for mu in mus if mu.size), default=0.0)
+    return 0, {
+        "result": {
+            "convention": args.convention,
+            "vertices": [jsonio.matrix_to_json(mu) for mu in mus],
+            "max_entry": worst,
+        }
+    }
+
+
+def _jordan_spectral(args, z):
+    sd = jordan.spectral(z)
+    return 0, {
+        "result": {
+            "t": [float(x) for x in sd.t],
+            "u": jsonio.matrix_to_json(sd.u),
+            "v": jsonio.matrix_to_json(sd.v),
+        }
+    }
+
+
+def _selftest(args):
+    report = selftest.run_properties(seed=args.seed)
+    report["violations"] = report.pop("failed")
+    report["tolerances_used"] = {"default": DEFAULT_TOL}
+    return _exit(report["result"] == "pass"), report
+
+
+COMMANDS = {
+    "decompose": Command(
+        "weight blocks and chains of integer weight data", ("weight_data",), None, _decompose
+    ),
+    "validate": Command(
+        "structural and sampled covariance check of connection data", ("connection",), "tol", _validate
+    ),
+    "pure": Command("commutator purity of a frame tuple", ("frame_tuple",), "tol", _pure),
+    "involute": Command(
+        "apply the involution (A, B) -> (-B*, -A*)",
+        ("connection",),
+        None,
+        lambda args, c: (0, {"result": jsonio.connection_to_json(connection.involution(c))}),
+    ),
+    "hermitian": Command(
+        "test whether connection data is an involution fixed point", ("connection",), "tol", _hermitian
+    ),
+    "gauge": Command(
+        "conjugate connection data by a centralizer element (two --input: data, gauge)",
+        ("connection", "matrix"),
+        "tol",
+        lambda args, c, h: (0, {"result": jsonio.connection_to_json(connection.gauge(c, h, tol=args.tol))}),
+    ),
+    "invariants": Command("cycle-word traces of a double-quiver representation", ("rep",), None, _invariants),
+    "equiv": Command(
+        "compare trace invariants of two representations (two --input)", ("rep", "rep"), "tol", _equiv
+    ),
+    "moment": Command("moment map of a double-quiver representation", ("rep",), None, _moment),
+    "jordan-spectral": Command(
+        "ascending spectral decomposition of a rectangular matrix", ("matrix",), None, _jordan_spectral
+    ),
+    "selftest": Command("run the seeded property suite", (), None, _selftest),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modulikit",
@@ -51,19 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
         "and Jordan triple spectral tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, n_inputs=1):
-        p = sub.add_parser(name, help=help_text)
-        if n_inputs:
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.inputs:
             p.add_argument(
                 "--input",
                 action="append",
                 required=True,
                 metavar="PATH",
-                help="JSON input path" + (" (repeat for each input)" if n_inputs > 1 else ""),
+                help="JSON input path" + (" (repeat for each input)" if len(cmd.inputs) > 1 else ""),
             )
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="decision tolerance")
-        p.add_argument("--max-len", type=int, default=None, help="cycle length bound")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="decision tolerance (finite, > 0)")
+        p.add_argument("--max-len", type=int, default=None, help="cycle length bound (>= 1)")
         p.add_argument(
             "--convention",
             choices=quiver.MOMENT_CONVENTIONS,
@@ -71,225 +202,44 @@ def build_parser() -> argparse.ArgumentParser:
             help="moment map convention",
         )
         p.add_argument("--seed", type=int, default=None, help=f"PRNG seed (default {SEED_ENV_VAR} or 0)")
-        return p
-
-    add("decompose", "weight blocks and chains of integer weight data")
-    add("validate", "structural and sampled covariance check of connection data")
-    add("pure", "commutator purity of a frame tuple")
-    add("involute", "apply the involution (A, B) -> (-B*, -A*)")
-    add("hermitian", "test whether connection data is an involution fixed point")
-    add("gauge", "conjugate connection data by a centralizer element (two --input: data, gauge)", 2)
-    add("invariants", "cycle-word traces of a double-quiver representation")
-    add("equiv", "compare trace invariants of two representations (two --input)", 2)
-    add("moment", "moment map of a double-quiver representation")
-    add("jordan-spectral", "ascending spectral decomposition of a rectangular matrix")
-    add("selftest", "run the seeded property suite", 0)
     return parser
 
 
-def _expect_inputs(cfg: RunConfig, n: int) -> None:
-    if len(cfg.inputs) != n:
-        raise ValueError(f"{cfg.command} needs exactly {n} --input path(s), got {len(cfg.inputs)}")
+def _check_domain(args) -> None:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
+    if args.max_len is not None and args.max_len < 1:
+        raise ValueError(f"--max-len must be >= 1, got {args.max_len}")
 
 
-def _report_violations(report: connection.CheckReport) -> list[dict]:
-    return [asdict(v) for v in report.violations]
-
-
-def _cmd_decompose(cfg: RunConfig) -> tuple[int, dict]:
-    _expect_inputs(cfg, 1)
-    w = jsonio.weight_data_from_json(jsonio.loads_path(cfg.inputs[0]))
-    d = weights.decompose(w)
-    blocks = [{"weight": list(b.weight), "indices": list(b.indices)} for b in d.blocks]
-    chain_rows = None
-    if d.rank == 1:
-        ch = weights.chains(d)
-        chain_rows = [
-            {
-                "base_weight": c.base_weight,
-                "dims": list(c.dims),
-                "indices": [list(ix) for ix in c.indices],
-            }
-            for c in ch.chains
-        ]
-    return 0, {
-        "command": "decompose",
-        "result": {"rank": d.rank, "dim": d.dim, "blocks": blocks, "chains": chain_rows},
-        "violations": [],
-        "tolerances_used": {},
-    }
-
-
-def _cmd_validate(cfg: RunConfig) -> tuple[int, dict]:
-    _expect_inputs(cfg, 1)
-    c = jsonio.connection_from_json(jsonio.loads_path(cfg.inputs[0]))
-    report = connection.validate_covariance(c, tol=cfg.tol, seed=cfg.seed)
-    return (0 if report.ok else 1), {
-        "command": "validate",
-        "result": "pass" if report.ok else "fail",
-        "worst": report.worst,
-        "checks": report.checks,
-        "violations": _report_violations(report),
-        "tolerances_used": {"tol": cfg.tol},
-    }
-
-
-def _cmd_pure(cfg: RunConfig) -> tuple[int, dict]:
-    _expect_inputs(cfg, 1)
-    t = jsonio.frame_tuple_from_json(jsonio.loads_path(cfg.inputs[0]))
-    result = connection.is_pure(t, tol=cfg.tol)
-    return (0 if result.pure else 1), {
-        "command": "pure",
-        "result": bool(result.pure),
-        "witness": asdict(result.witness) if result.witness else None,
-        "violations": [],
-        "tolerances_used": {"tol": cfg.tol},
-    }
-
-
-def _cmd_involute(cfg: RunConfig) -> tuple[int, dict]:
-    _expect_inputs(cfg, 1)
-    c = jsonio.connection_from_json(jsonio.loads_path(cfg.inputs[0]))
-    return 0, {
-        "command": "involute",
-        "result": jsonio.connection_to_json(connection.involution(c)),
-        "violations": [],
-        "tolerances_used": {},
-    }
-
-
-def _cmd_hermitian(cfg: RunConfig) -> tuple[int, dict]:
-    _expect_inputs(cfg, 1)
-    c = jsonio.connection_from_json(jsonio.loads_path(cfg.inputs[0]))
-    verdict = connection.is_hermitian(c, tol=cfg.tol)
-    return (0 if verdict else 1), {
-        "command": "hermitian",
-        "result": bool(verdict),
-        "violations": [],
-        "tolerances_used": {"tol": cfg.tol},
-    }
-
-
-def _cmd_gauge(cfg: RunConfig) -> tuple[int, dict]:
-    _expect_inputs(cfg, 2)
-    c = jsonio.connection_from_json(jsonio.loads_path(cfg.inputs[0]))
-    h = jsonio.matrix_from_json(jsonio.loads_path(cfg.inputs[1]))
-    moved = connection.gauge(c, h, tol=cfg.tol)
-    return 0, {
-        "command": "gauge",
-        "result": jsonio.connection_to_json(moved),
-        "violations": [],
-        "tolerances_used": {"tol": cfg.tol},
-    }
-
-
-def _cmd_invariants(cfg: RunConfig) -> tuple[int, dict]:
-    _expect_inputs(cfg, 1)
-    rep = jsonio.rep_from_json(jsonio.loads_path(cfg.inputs[0]))
-    vec = quiver.invariants(rep, max_len=cfg.max_len)
-    entries = {",".join(word): jsonio.complex_to_json(t) for word, t in vec.entries.items()}
-    return 0, {
-        "command": "invariants",
-        "result": {"max_len": vec.max_len, "entries": entries},
-        "violations": [],
-        "tolerances_used": {},
-    }
-
-
-def _cmd_equiv(cfg: RunConfig) -> tuple[int, dict]:
-    _expect_inputs(cfg, 2)
-    r1 = jsonio.rep_from_json(jsonio.loads_path(cfg.inputs[0]))
-    r2 = jsonio.rep_from_json(jsonio.loads_path(cfg.inputs[1]))
-    cert = quiver.equivalence_certificate(r1, r2, max_len=cfg.max_len, tol=cfg.tol)
-    payload = {"verdict": cert.verdict, "max_len": cert.max_len}
-    if cert.distinct:
-        payload["witness"] = ",".join(cert.witness)
-        payload["left_trace"] = jsonio.complex_to_json(cert.left_trace)
-        payload["right_trace"] = jsonio.complex_to_json(cert.right_trace)
-    return (1 if cert.distinct else 0), {
-        "command": "equiv",
-        "result": payload,
-        "violations": [],
-        "tolerances_used": {"tol": cfg.tol},
-    }
-
-
-def _cmd_moment(cfg: RunConfig) -> tuple[int, dict]:
-    _expect_inputs(cfg, 1)
-    rep = jsonio.rep_from_json(jsonio.loads_path(cfg.inputs[0]))
-    mus = quiver.moment_map(rep, convention=cfg.convention)
-    worst = max((float(np.max(np.abs(mu))) for mu in mus if mu.size), default=0.0)
-    return 0, {
-        "command": "moment",
-        "result": {
-            "convention": cfg.convention,
-            "vertices": [jsonio.matrix_to_json(mu) for mu in mus],
-            "max_entry": worst,
-        },
-        "violations": [],
-        "tolerances_used": {},
-    }
-
-
-def _cmd_jordan_spectral(cfg: RunConfig) -> tuple[int, dict]:
-    _expect_inputs(cfg, 1)
-    z = jsonio.matrix_from_json(jsonio.loads_path(cfg.inputs[0]))
-    sd = jordan.spectral(z)
-    return 0, {
-        "command": "jordan-spectral",
-        "result": {
-            "t": [float(x) for x in sd.t],
-            "u": jsonio.matrix_to_json(sd.u),
-            "v": jsonio.matrix_to_json(sd.v),
-        },
-        "violations": [],
-        "tolerances_used": {},
-    }
-
-
-def _cmd_selftest(cfg: RunConfig) -> tuple[int, dict]:
-    report = selftest.run_properties(seed=cfg.seed)
-    report["violations"] = report.pop("failed")
-    report["tolerances_used"] = {"default": DEFAULT_TOL}
-    return (0 if report["result"] == "pass" else 1), report
-
-
-_HANDLERS = {
-    "decompose": _cmd_decompose,
-    "validate": _cmd_validate,
-    "pure": _cmd_pure,
-    "involute": _cmd_involute,
-    "hermitian": _cmd_hermitian,
-    "gauge": _cmd_gauge,
-    "invariants": _cmd_invariants,
-    "equiv": _cmd_equiv,
-    "moment": _cmd_moment,
-    "jordan-spectral": _cmd_jordan_spectral,
-    "selftest": _cmd_selftest,
-}
-
-
-def run(cfg: RunConfig) -> tuple[int, dict]:
-    """Dispatch a parsed configuration; returns (exit code, report)."""
-    return _HANDLERS[cfg.command](cfg)
+def _decode_inputs(args, cmd: Command) -> list:
+    paths = getattr(args, "input", None) or []
+    if len(paths) != len(cmd.inputs):
+        raise ValueError(
+            f"{args.command} needs exactly {len(cmd.inputs)} --input path(s), got {len(paths)}"
+        )
+    return [
+        getattr(jsonio, f"{kind}_from_json")(jsonio.loads_path(path))
+        for kind, path in zip(cmd.inputs, paths)
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = COMMANDS[args.command]
     try:
-        cfg = RunConfig(
-            command=args.command,
-            inputs=list(getattr(args, "input", None) or []),
-            tol=float(args.tol),
-            max_len=args.max_len,
-            convention=args.convention,
-            seed=_resolve_seed(args.seed),
-        )
-        code, report = run(cfg)
+        args.seed = _resolve_seed(args.seed)
+        _check_domain(args)
+        code, fields = cmd.run(args, *_decode_inputs(args, cmd))
     except (ModulikitError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = {
+        "command": args.command,
+        "violations": [],
+        "tolerances_used": {cmd.tol_key: args.tol} if cmd.tol_key else {},
+        **fields,
+    }
     print(jsonio.dumps(report))
     return code
 

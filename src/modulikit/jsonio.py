@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
@@ -38,13 +39,24 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def _int(value, path: str) -> int:
+    """A JSON integer; bool, float, null and string are rejected.
+
+    ``path`` names the value in error messages.  Nested decoders take an
+    ``at`` prefix, such as ``"A."``, for the JSON path of their input.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{path} must be an integer, got {value!r}")
+
+
+def matrix_from_json(obj, at: str = "") -> np.ndarray:
     _require(isinstance(obj, dict), "matrix must be a JSON object")
     _require(
         set(obj) >= {"rows", "cols", "entries"},
         "matrix object needs rows, cols, entries",
     )
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _int(obj["rows"], f"{at}rows"), _int(obj["cols"], f"{at}cols")
     _require(rows >= 0 and cols >= 0, "rows and cols must be nonnegative")
     entries = obj["entries"]
     _require(isinstance(entries, list), "entries must be a list")
@@ -64,13 +76,19 @@ def weight_data_to_json(w: WeightData) -> dict:
     return {"rank": w.rank, "weights": [list(vec) for vec in w.weights]}
 
 
-def weight_data_from_json(obj) -> WeightData:
+def weight_data_from_json(obj, at: str = "") -> WeightData:
     _require(isinstance(obj, dict), "weight data must be a JSON object")
     _require(set(obj) >= {"rank", "weights"}, "weight data needs rank and weights")
-    rank = int(obj["rank"])
+    rank = _int(obj["rank"], f"{at}rank")
     ws = obj["weights"]
     _require(isinstance(ws, list) and ws, "weights must be a nonempty list")
-    return WeightData(rank=rank, weights=tuple(tuple(int(c) for c in np.atleast_1d(w)) for w in ws))
+    vecs = []
+    for k, w in enumerate(ws):
+        if isinstance(w, list):
+            vecs.append(tuple(_int(c, f"{at}weights[{k}][{j}]") for j, c in enumerate(w)))
+        else:
+            vecs.append((_int(w, f"{at}weights[{k}]"),))
+    return WeightData(rank=rank, weights=tuple(vecs))
 
 
 def connection_to_json(c: ConnectionData) -> dict:
@@ -88,11 +106,11 @@ def connection_to_json(c: ConnectionData) -> dict:
 def connection_from_json(obj) -> ConnectionData:
     _require(isinstance(obj, dict), "connection data must be a JSON object")
     _require(set(obj) >= {"weights", "A", "B"}, "connection data needs weights, A, B")
-    w = weight_data_from_json(obj["weights"])
+    w = weight_data_from_json(obj["weights"], "weights.")
     return ConnectionData(
         decomposition=decompose(w),
-        a=matrix_from_json(obj["A"]),
-        b=matrix_from_json(obj["B"]),
+        a=matrix_from_json(obj["A"], "A."),
+        b=matrix_from_json(obj["B"], "B."),
     )
 
 
@@ -110,14 +128,14 @@ def frame_tuple_to_json(t: FrameTuple) -> dict:
 def frame_tuple_from_json(obj) -> FrameTuple:
     _require(isinstance(obj, dict), "frame tuple must be a JSON object")
     _require(set(obj) >= {"rank", "A_list"}, "frame tuple needs rank and A_list")
-    a_list = tuple(matrix_from_json(m) for m in obj["A_list"])
-    _require(len(a_list) == int(obj["rank"]), "rank must equal the length of A_list")
+    a_list = tuple(matrix_from_json(m, f"A_list[{k}].") for k, m in enumerate(obj["A_list"]))
+    _require(len(a_list) == _int(obj["rank"], "rank"), "rank must equal the length of A_list")
     b_list = None
     if obj.get("B_list") is not None:
-        b_list = tuple(matrix_from_json(m) for m in obj["B_list"])
+        b_list = tuple(matrix_from_json(m, f"B_list[{k}].") for k, m in enumerate(obj["B_list"]))
     weights = None
     if obj.get("weights") is not None:
-        weights = weight_data_from_json(obj["weights"])
+        weights = weight_data_from_json(obj["weights"], "weights.")
     return FrameTuple(a_list=a_list, b_list=b_list, weights=weights)
 
 
@@ -134,41 +152,29 @@ def rep_to_json(rep: DoubleQuiverRep) -> dict:
 def rep_from_json(obj) -> DoubleQuiverRep:
     """Load a double-quiver representation.
 
-    Arrows labeled ``A<k>`` pair with ``B<k>``; every arrow must belong
-    to exactly one such orientation-reversed pair.
+    Arrows labeled ``A<k>`` pair with ``B<k>``; DoubleQuiver rejects an
+    arrow that is not in exactly one such orientation-reversed pair.
     """
     _require(isinstance(obj, dict), "representation must be a JSON object")
     _require(
         set(obj) >= {"vertices", "arrows", "matrices"},
         "representation needs vertices, arrows, matrices",
     )
-    dims = tuple(int(d) for d in obj["vertices"])
+    _require(isinstance(obj["vertices"], list), "vertices must be a list")
+    dims = tuple(_int(d, f"vertices[{k}]") for k, d in enumerate(obj["vertices"]))
     arrows = []
     for k, entry in enumerate(obj["arrows"]):
         _require(
             isinstance(entry, dict) and set(entry) >= {"tail", "head", "label"},
             f"arrow {k} needs tail, head, label",
         )
-        arrows.append(Arrow(tail=int(entry["tail"]), head=int(entry["head"]), label=str(entry["label"])))
-    by_label = {a.label: a for a in arrows}
-    _require(len(by_label) == len(arrows), "arrow labels must be unique")
-    pairs = []
-    for a in arrows:
-        if a.label.startswith("A"):
-            opp = "B" + a.label[1:]
-            _require(opp in by_label, f"arrow {a.label} has no opposite {opp}")
-            rev = by_label[opp]
-            _require(
-                rev.tail == a.head and rev.head == a.tail,
-                f"arrows {a.label} and {opp} are not orientation reversed",
-            )
-            pairs.append((a.label, opp))
-    paired = {lab for pair in pairs for lab in pair}
-    _require(paired == set(by_label), "every arrow must belong to an A/B pair")
-    quiver = DoubleQuiver(dims=dims, arrows=tuple(arrows), pairs=tuple(pairs))
+        tail, head = _int(entry["tail"], f"arrows[{k}].tail"), _int(entry["head"], f"arrows[{k}].head")
+        arrows.append(Arrow(tail=tail, head=head, label=str(entry["label"])))
+    pairs = tuple((a.label, "B" + a.label[1:]) for a in arrows if a.label.startswith("A"))
+    quiver = DoubleQuiver(dims=dims, arrows=tuple(arrows), pairs=pairs)
     mats = obj["matrices"]
     _require(isinstance(mats, dict), "matrices must be a JSON object")
-    matrices = {label: matrix_from_json(m) for label, m in mats.items()}
+    matrices = {label: matrix_from_json(m, f"matrices.{label}.") for label, m in mats.items()}
     return DoubleQuiverRep(quiver=quiver, matrices=matrices)
 
 

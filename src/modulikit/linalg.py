@@ -11,8 +11,6 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -146,39 +144,3 @@ def is_unitary(h, tol: float = DEFAULT_TOL) -> bool:
     h = as_matrix(h, square=True)
     eye = np.eye(h.shape[0], dtype=complex)
     return frob(dagger(h) @ h - eye) <= tol
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """Ordered positive block sizes partitioning ``{0, ..., N-1}`` contiguously."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.sizes)
-        if not sizes:
-            raise ValueError("block structure needs at least one block")
-        if any(s <= 0 for s in sizes):
-            raise ValueError("block sizes must be positive")
-        object.__setattr__(self, "sizes", sizes)
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
-    def slices(self) -> list[slice]:
-        """Contiguous index slices, one per block."""
-        out = []
-        start = 0
-        for s in self.sizes:
-            out.append(slice(start, start + s))
-            start += s
-        return out
-
-
-def block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Assemble square blocks into one block-diagonal complex matrix."""
-    mats = [as_matrix(b, square=True) for b in blocks]
-    if not mats:
-        return np.zeros((0, 0), dtype=complex)
-    return scipy.linalg.block_diag(*mats).astype(complex)

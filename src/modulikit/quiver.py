@@ -161,6 +161,22 @@ class DoubleQuiverRep:
         return sum(self.quiver.dims)
 
 
+def _chain_layout(ch: ChainDecomposition):
+    """Arrows of the chain quiver in traversal order.
+
+    Yields ``(k, tail, head, lo, hi)`` for arrow ``A<k>``: its tail and
+    head vertex positions and the basis indices of the lower and upper
+    weight levels it joins.  ``B<k>`` is the same arrow reversed.
+    """
+    k = base = 0
+    for chain in ch.chains:
+        for lvl in range(1, len(chain.indices)):
+            k += 1
+            lo, hi = list(chain.indices[lvl - 1]), list(chain.indices[lvl])
+            yield k, base + lvl - 1, base + lvl, lo, hi
+        base += len(chain.indices)
+
+
 def chain_quiver(ch: ChainDecomposition) -> Quiver:
     """Linear quiver of a chain decomposition, arrows pointing up in weight.
 
@@ -168,16 +184,10 @@ def chain_quiver(ch: ChainDecomposition) -> Quiver:
     chain, levels ascending, and arrows are labeled ``A1, A2, ...`` in
     that traversal order.
     """
-    dims: list[int] = []
-    arrows: list[Arrow] = []
-    arrow_no = 0
-    for chain in ch.chains:
-        base = len(dims)
-        dims.extend(chain.dims)
-        for lvl in range(1, len(chain.indices)):
-            arrow_no += 1
-            arrows.append(Arrow(tail=base + lvl - 1, head=base + lvl, label=f"A{arrow_no}"))
-    return Quiver(dims=tuple(dims), arrows=tuple(arrows))
+    return Quiver(
+        dims=tuple(d for chain in ch.chains for d in chain.dims),
+        arrows=tuple(Arrow(tail=t, head=h, label=f"A{k}") for k, t, h, _, _ in _chain_layout(ch)),
+    )
 
 
 def _opposite_label(label: str) -> str:
@@ -215,17 +225,11 @@ def from_connection(c) -> DoubleQuiverRep:
             f"connection data violates the weight-shift pattern at {len(bad)} entries"
         )
     ch = chains(c.decomposition)
-    dq = double(chain_quiver(ch))
     mats: dict[str, np.ndarray] = {}
-    arrow_no = 0
-    for chain in ch.chains:
-        for lvl in range(1, len(chain.indices)):
-            arrow_no += 1
-            lo = list(chain.indices[lvl - 1])
-            hi = list(chain.indices[lvl])
-            mats[f"A{arrow_no}"] = c.a[np.ix_(hi, lo)]
-            mats[f"B{arrow_no}"] = c.b[np.ix_(lo, hi)]
-    return DoubleQuiverRep(quiver=dq, matrices=mats)
+    for k, _, _, lo, hi in _chain_layout(ch):
+        mats[f"A{k}"] = c.a[np.ix_(hi, lo)]
+        mats[f"B{k}"] = c.b[np.ix_(lo, hi)]
+    return DoubleQuiverRep(quiver=double(chain_quiver(ch)), matrices=mats)
 
 
 def to_connection(rep: DoubleQuiverRep, decomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -234,18 +238,12 @@ def to_connection(rep: DoubleQuiverRep, decomposition) -> tuple[np.ndarray, np.n
     Inverse of :func:`from_connection` for the grading that produced the
     representation; returns plain matrices.
     """
-    ch = chains(decomposition)
     n = decomposition.dim
     a = np.zeros((n, n), dtype=complex)
     b = np.zeros((n, n), dtype=complex)
-    arrow_no = 0
-    for chain in ch.chains:
-        for lvl in range(1, len(chain.indices)):
-            arrow_no += 1
-            lo = list(chain.indices[lvl - 1])
-            hi = list(chain.indices[lvl])
-            a[np.ix_(hi, lo)] = rep.matrices[f"A{arrow_no}"]
-            b[np.ix_(lo, hi)] = rep.matrices[f"B{arrow_no}"]
+    for k, _, _, lo, hi in _chain_layout(chains(decomposition)):
+        a[np.ix_(hi, lo)] = rep.matrices[f"A{k}"]
+        b[np.ix_(lo, hi)] = rep.matrices[f"B{k}"]
     return a, b
 
 

@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 
 from . import connection, jordan, linalg, quiver, weights
+from ._sampling import cnormal, unitary, well_conditioned
 
 DEFAULT_SAMPLES = 200
 DESK_MAX_DIM = 8
@@ -23,30 +24,12 @@ DESK_MAX_DIM = 8
 # deterministic sample builders
 
 
-def _cnormal(rng, n, m=None):
-    m = n if m is None else m
-    return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
-
-
 def _invertible(rng, n, bound=1e3):
     for _ in range(64):
-        h = _cnormal(rng, n)
+        h = cnormal(rng, n)
         if np.linalg.cond(h) <= bound:
             return h
     raise RuntimeError("no well-conditioned sample")
-
-
-def _unitary(rng, n):
-    qmat, r = np.linalg.qr(_cnormal(rng, n))
-    diag = np.diag(r)
-    phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
-    return qmat * phases
-
-
-def _well_conditioned(rng, n):
-    """Random invertible with singular values in [1/e, e]."""
-    core = np.exp(rng.uniform(-1.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
-    return _unitary(rng, n) @ np.diag(core) @ _unitary(rng, n)
 
 
 def _rel(diff, scale):
@@ -63,8 +46,8 @@ def _pattern_pair(rng, d):
     """Random (A, B) supported exactly on the allowed shift pattern."""
     w = d.index_weights()[:, 0]
     diff = w[:, None] - w[None, :]
-    a = np.where(diff == 1, _cnormal(rng, d.dim), 0.0)
-    b = np.where(diff == -1, _cnormal(rng, d.dim), 0.0)
+    a = np.where(diff == 1, cnormal(rng, d.dim), 0.0)
+    b = np.where(diff == -1, cnormal(rng, d.dim), 0.0)
     return a, b
 
 
@@ -80,7 +63,7 @@ def _rand_chain_rep(rng):
     dq = quiver.double(quiver.chain_quiver(ch))
     dims = dq.dims
     mats = {
-        a.label: _cnormal(rng, dims[a.head], dims[a.tail]) for a in dq.arrows
+        a.label: cnormal(rng, dims[a.head], dims[a.tail]) for a in dq.arrows
     }
     return quiver.DoubleQuiverRep(quiver=dq, matrices=mats)
 
@@ -88,7 +71,7 @@ def _rand_chain_rep(rng):
 def _loop_rep(rng):
     dim = int(rng.integers(1, 4))
     dq = quiver.double(quiver.Quiver(dims=(dim,), arrows=(quiver.Arrow(0, 0, "A1"),)))
-    mats = {a.label: _cnormal(rng, dim, dim) for a in dq.arrows}
+    mats = {a.label: cnormal(rng, dim, dim) for a in dq.arrows}
     return quiver.DoubleQuiverRep(quiver=dq, matrices=mats)
 
 
@@ -110,7 +93,7 @@ def _vertex_gauges(rng, dims, spread=False):
 def _prop_sharp_involution(rng, samples):
     worst = 0.0
     for _ in range(samples):
-        h = _well_conditioned(rng, int(rng.integers(2, 7)))
+        h = well_conditioned(rng, int(rng.integers(2, 7)))
         worst = max(worst, _rel(linalg.sharp(linalg.sharp(h)) - h, linalg.frob(h)))
     return worst, 1e-10
 
@@ -119,7 +102,7 @@ def _prop_sharp_multiplicative(rng, samples):
     worst = 0.0
     for _ in range(samples):
         n = int(rng.integers(2, 7))
-        h1, h2 = _well_conditioned(rng, n), _well_conditioned(rng, n)
+        h1, h2 = well_conditioned(rng, n), well_conditioned(rng, n)
         lhs = linalg.sharp(h1 @ h2)
         rhs = linalg.sharp(h1) @ linalg.sharp(h2)
         worst = max(worst, _rel(lhs - rhs, linalg.frob(rhs)))
@@ -129,7 +112,7 @@ def _prop_sharp_multiplicative(rng, samples):
 def _prop_lie_sharp_involution(rng, samples):
     worst = 0.0
     for _ in range(samples):
-        x = _cnormal(rng, int(rng.integers(1, DESK_MAX_DIM + 1)))
+        x = cnormal(rng, int(rng.integers(1, DESK_MAX_DIM + 1)))
         again = linalg.lie_sharp(linalg.lie_sharp(x))
         worst = max(worst, float(np.max(np.abs(again - x))) if x.size else 0.0)
     return worst, 0.0
@@ -139,7 +122,7 @@ def _prop_lie_sharp_bracket(rng, samples):
     worst = 0.0
     for _ in range(samples):
         n = int(rng.integers(2, DESK_MAX_DIM + 1))
-        x, y = _cnormal(rng, n), _cnormal(rng, n)
+        x, y = cnormal(rng, n), cnormal(rng, n)
         lhs = linalg.lie_sharp(linalg.commutator(x, y))
         rhs = linalg.commutator(linalg.lie_sharp(x), linalg.lie_sharp(y))
         worst = max(worst, _rel(lhs - rhs, linalg.frob(lhs)))
@@ -150,7 +133,7 @@ def _prop_hermitian_sqrt(rng, samples):
     worst = 0.0
     for _ in range(samples):
         n = int(rng.integers(2, 7))
-        g = _well_conditioned(rng, n)
+        g = well_conditioned(rng, n)
         k = g @ linalg.dagger(g)
         h = linalg.hermitian_sqrt(k)
         if float(np.linalg.eigvalsh(h).min()) <= 0.0:
@@ -285,9 +268,9 @@ def _prop_purity_gauge_invariant(rng, samples):
         r = int(rng.integers(2, 4))
         if k % 2 == 0:
             # simultaneously diagonal values commute exactly
-            a_list = [np.diag(_cnormal(rng, 1, n)[0]) for _ in range(r)]
+            a_list = [np.diag(cnormal(rng, 1, n)[0]) for _ in range(r)]
         else:
-            a_list = [_cnormal(rng, n) for _ in range(r)]
+            a_list = [cnormal(rng, n) for _ in range(r)]
         t = connection.FrameTuple(a_list=tuple(a_list))
         h = _invertible(rng, n)
         conj = connection.FrameTuple(
@@ -313,7 +296,7 @@ def _prop_rank1_always_pure(rng, samples):
     bad = 0
     for _ in range(samples):
         n = int(rng.integers(1, DESK_MAX_DIM + 1))
-        t = connection.FrameTuple(a_list=(_cnormal(rng, n),), b_list=(_cnormal(rng, n),))
+        t = connection.FrameTuple(a_list=(cnormal(rng, n),), b_list=(cnormal(rng, n),))
         if not connection.is_pure(t).pure:
             bad += 1
     return float(bad), 0.0
@@ -400,7 +383,11 @@ def _prop_trace_rotation_invariant(rng, samples):
 
 
 def _bruteforce_cycles(dq, max_len):
-    """All closed label words up to rotation, by exhaustive search."""
+    """All closed label words up to rotation, by exhaustive search.
+
+    The tests keep their own copy of this oracle on purpose, so that a
+    fault here cannot hide the same fault in enumerate_cycles.
+    """
     by_label = {a.label: a for a in dq.arrows}
     labels = sorted(by_label)
     found = set()
@@ -452,7 +439,7 @@ def _prop_tripotent_unitary_orbit(rng, samples):
         p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         e = np.zeros((p, q), dtype=complex)
         e[0, 0] = 1.0
-        moved = _unitary(rng, p) @ e @ linalg.dagger(_unitary(rng, q))
+        moved = unitary(rng, p) @ e @ linalg.dagger(unitary(rng, q))
         if not jordan.is_tripotent(moved):
             bad += 1
     return float(bad), 0.0
@@ -462,8 +449,8 @@ def _prop_singular_values_unitary_invariant(rng, samples):
     worst = 0.0
     for _ in range(samples):
         p, q = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        z = _cnormal(rng, p, q)
-        moved = _unitary(rng, p) @ z @ linalg.dagger(_unitary(rng, q))
+        z = cnormal(rng, p, q)
+        moved = unitary(rng, p) @ z @ linalg.dagger(unitary(rng, q))
         t1 = jordan.spectral(z).t
         t2 = jordan.spectral(moved).t
         worst = max(worst, float(np.max(np.abs(t1 - t2))))
@@ -474,7 +461,7 @@ def _prop_triple_identity(rng, samples):
     worst = 0.0
     for _ in range(samples):
         p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        u, v, x, y, z = (_cnormal(rng, p, q) for _ in range(5))
+        u, v, x, y, z = (cnormal(rng, p, q) for _ in range(5))
         lhs = jordan.triple_product(u, v, jordan.triple_product(x, y, z))
         t1 = jordan.triple_product(jordan.triple_product(u, v, x), y, z)
         t2 = jordan.triple_product(x, jordan.triple_product(v, u, y), z)
@@ -491,7 +478,7 @@ def _prop_quadratic_fields_commute(rng, samples):
         p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         draws = []
         for _ in range(3):
-            m = _cnormal(rng, p, q)
+            m = cnormal(rng, p, q)
             n = linalg.frob(m)
             draws.append(m / n if n > 1.0 else m)
         u, v, z = draws
@@ -504,7 +491,7 @@ def _prop_spectral_roundtrip(rng, samples):
     worst = 0.0
     for _ in range(samples):
         p, q = int(rng.integers(1, DESK_MAX_DIM + 1)), int(rng.integers(1, DESK_MAX_DIM + 1))
-        z = _cnormal(rng, p, q)
+        z = cnormal(rng, p, q)
         back = jordan.reconstruct(jordan.spectral(z))
         worst = max(worst, _rel(back - z, linalg.frob(z)))
     return worst, 1e-10

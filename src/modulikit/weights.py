@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sampling import unit_disk
 from .errors import (
     DimensionMismatchError,
     NotUnitModulusError,
@@ -150,26 +151,19 @@ def chains(d: WeightDecomposition) -> ChainDecomposition:
     """Split a rank-1 decomposition into maximal consecutive-weight chains."""
     if d.rank != 1:
         raise RankNotOneError(f"chain decomposition needs rank 1, got rank {d.rank}")
-    out: list[Chain] = []
-    current: list[WeightBlock] = []
+    runs: list[list[WeightBlock]] = []
     for block in d.blocks:
-        if current and block.weight[0] != current[-1].weight[0] + 1:
-            out.append(
-                Chain(
-                    base_weight=current[0].weight[0],
-                    indices=tuple(b.indices for b in current),
-                )
-            )
-            current = []
-        current.append(block)
-    if current:
-        out.append(
-            Chain(
-                base_weight=current[0].weight[0],
-                indices=tuple(b.indices for b in current),
-            )
-        )
-    return ChainDecomposition(dim=d.dim, chains=tuple(out))
+        if runs and block.weight[0] == runs[-1][-1].weight[0] + 1:
+            runs[-1].append(block)
+        else:
+            runs.append([block])
+    return ChainDecomposition(
+        dim=d.dim,
+        chains=tuple(
+            Chain(base_weight=run[0].weight[0], indices=tuple(b.indices for b in run))
+            for run in runs
+        ),
+    )
 
 
 def _tau_vector(d: WeightDecomposition, tau) -> np.ndarray:
@@ -220,13 +214,6 @@ def commutant_dim(d: WeightDecomposition) -> int:
     return sum(block.dim**2 for block in d.blocks)
 
 
-def _disk_entries(rng: np.random.Generator, shape) -> np.ndarray:
-    # Uniform on the unit disk: sqrt(u) radius, uniform angle.
-    radius = np.sqrt(rng.uniform(0.0, 1.0, shape))
-    angle = rng.uniform(0.0, 2.0 * np.pi, shape)
-    return radius * np.exp(1j * angle)
-
-
 def sample_commutant(d: WeightDecomposition, seed: int) -> np.ndarray:
     """Seeded random invertible element of the centralizer.
 
@@ -239,7 +226,7 @@ def sample_commutant(d: WeightDecomposition, seed: int) -> np.ndarray:
         h = np.zeros((d.dim, d.dim), dtype=complex)
         for block in d.blocks:
             ix = list(block.indices)
-            h[np.ix_(ix, ix)] = np.eye(block.dim) + _disk_entries(rng, (block.dim, block.dim))
+            h[np.ix_(ix, ix)] = np.eye(block.dim) + unit_disk(rng, (block.dim, block.dim))
         if np.linalg.cond(h) <= SAMPLE_COND_BOUND:
             return h
     raise RuntimeError("could not sample a well-conditioned centralizer element")

@@ -7,7 +7,6 @@ here are contractual; loosening them is a behavior change, not a tweak.
 
 from __future__ import annotations
 
-import itertools
 import subprocess
 import sys
 import time
@@ -15,7 +14,7 @@ import time
 import numpy as np
 
 from modulikit import connection, jordan, linalg, quiver, weights
-from util import cnormal, disk_invertible, rel_err
+from util import brute_cycles, cnormal, disk_invertible, rel_err
 
 TRIPLE = jordan.triple_product
 
@@ -330,18 +329,6 @@ def test_criterion_07_jordan_layer():
     )
 
 
-def _brute_cycles(dq, max_len):
-    by_label = {a.label: a for a in dq.arrows}
-    found = set()
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(sorted(by_label), repeat=length):
-            arrows = [by_label[lbl] for lbl in combo]
-            if any(arrows[k].head != arrows[(k + 1) % length].tail for k in range(length)):
-                continue
-            found.add(quiver.canonical_rotation(combo))
-    return sorted(found, key=lambda w: (len(w), w))
-
-
 def _chain_weight_vals(parts):
     """Weight list realizing chains with the given vertex counts, gap 2 apart."""
     vals, start = [], 0
@@ -364,7 +351,7 @@ def test_criterion_08_cycle_enumeration_oracle():
     for parts in partitions:
         dq = _chain_double_from_weights(_chain_weight_vals(parts))
         for max_len in range(1, 7):
-            ok = ok and quiver.enumerate_cycles(dq, max_len) == _brute_cycles(dq, max_len)
+            ok = ok and quiver.enumerate_cycles(dq, max_len) == brute_cycles(dq, max_len)
             checked += 1
     elapsed = time.perf_counter() - t0
     _stamp(

@@ -287,3 +287,42 @@ def test_reports_always_carry_contract_keys(tmp_path, capsys):
     path = _write(tmp_path, "w.json", {"rank": 1, "weights": [0, 1]})
     _, report, _ = _run(capsys, ["decompose", "--input", path])
     assert {"command", "result", "violations", "tolerances_used"} <= set(report)
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("validate", "--tol", "nan"),
+        ("validate", "--tol", "inf"),
+        ("validate", "--tol", "-1"),
+        ("validate", "--tol", "0"),
+        ("invariants", "--max-len", "-3"),
+        ("invariants", "--max-len", "0"),
+    ],
+)
+def test_out_of_range_arguments_exit_2(tmp_path, capsys, command, flag, value):
+    a = np.zeros((2, 2), dtype=complex)
+    a[1, 0] = 1.0
+    inputs = {
+        "validate": _connection_json([0, 1], a, np.zeros((2, 2))),
+        "invariants": _scalar_rep_json(2.0, 3.0),
+    }
+    path = _write(tmp_path, "in.json", inputs[command])
+    code, report, err = _run(capsys, [command, "--input", path, flag, value])
+    assert code == 2 and report is None
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("decompose", {"rank": 1, "weights": [0, 1.7]}),
+        ("jordan-spectral", {"rows": None, "cols": 1, "entries": []}),
+    ],
+)
+def test_non_integer_counts_and_weights_exit_2(tmp_path, capsys, command, payload):
+    path = _write(tmp_path, "in.json", payload)
+    code, report, err = _run(capsys, [command, "--input", path])
+    assert code == 2 and report is None
+    assert err.startswith("error:") and "must be an integer" in err

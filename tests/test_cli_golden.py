@@ -1,0 +1,88 @@
+"""Golden command-line reports: stdout bytes and exit code on fixed inputs.
+
+Every command runs in-process on the small JSON files under
+``tests/golden/inputs``; verdict commands run once per verdict.  The
+expected stdout of case ``<name>`` is ``tests/golden/<name>.out`` and the
+expected exit codes are in ``tests/golden/exit_codes.json``.  These files
+change only together with a stated behaviour change; regenerate them with
+``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from modulikit import cli
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+# (case name, argv); every value after --input names a file in INPUTS
+CASES = (
+    ("decompose-rank1", ["decompose", "--input", "weights_rank1.json"]),
+    ("decompose-rank2", ["decompose", "--input", "weights_rank2.json"]),
+    ("validate-pass", ["validate", "--input", "connection_pass.json"]),
+    ("validate-fail", ["validate", "--input", "connection_fail.json"]),
+    ("validate-seed5-tol", ["validate", "--input", "connection_pass.json", "--seed", "5", "--tol", "1e-8"]),
+    ("pure-pure", ["pure", "--input", "frame_pure.json"]),
+    ("pure-impure", ["pure", "--input", "frame_impure.json"]),
+    ("involute", ["involute", "--input", "connection_pass.json"]),
+    ("hermitian-true", ["hermitian", "--input", "connection_hermitian.json"]),
+    ("hermitian-false", ["hermitian", "--input", "connection_pass.json"]),
+    ("gauge", ["gauge", "--input", "connection_pass.json", "--input", "gauge_matrix.json"]),
+    ("invariants-default", ["invariants", "--input", "rep_chain.json"]),
+    ("invariants-max-len-4", ["invariants", "--input", "rep_chain.json", "--max-len", "4"]),
+    ("equiv-distinct", ["equiv", "--input", "rep_chain.json", "--input", "rep_chain_other.json"]),
+    (
+        "equiv-indistinguishable",
+        ["equiv", "--input", "rep_scalar_23.json", "--input", "rep_scalar_32.json", "--max-len", "8"],
+    ),
+    ("moment-paper", ["moment", "--input", "rep_chain.json"]),
+    ("moment-standard", ["moment", "--input", "rep_chain.json", "--convention", "standard"]),
+    ("jordan-spectral", ["jordan-spectral", "--input", "matrix_spectral.json"]),
+    ("selftest-seed-42", ["selftest", "--seed", "42"]),
+    ("gauge-one-input", ["gauge", "--input", "connection_pass.json"]),
+    (
+        "decompose-two-inputs",
+        ["decompose", "--input", "weights_rank1.json", "--input", "weights_rank2.json"],
+    ),
+)
+
+
+def _argv(args: list[str]) -> list[str]:
+    out = []
+    for k, arg in enumerate(args):
+        out.append(str(INPUTS / arg) if k and args[k - 1] == "--input" else arg)
+    return out
+
+
+def _run(args: list[str]) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(_argv(args))
+    return code, out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name, args", CASES, ids=[name for name, _ in CASES])
+def test_golden_report(name, args, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    code, stdout = _run(args)
+    assert stdout == (GOLDEN / f"{name}.out").read_bytes()
+    assert code == exit_codes[name]
+
+
+if __name__ == "__main__":
+    import os
+
+    os.environ.pop(cli.SEED_ENV_VAR, None)
+    codes = {}
+    for name, args in CASES:
+        codes[name], stdout = _run(args)
+        (GOLDEN / f"{name}.out").write_bytes(stdout)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n", encoding="utf-8")

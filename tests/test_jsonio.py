@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,64 @@ def test_rep_requires_paired_labels():
     unpaired["matrices"]["C1"] = jsonio.matrix_to_json(np.eye(1))
     with pytest.raises(ValueError):
         jsonio.rep_from_json(unpaired)
+
+
+
+def _scalar_rep_obj():
+    dq = quiver.double(quiver.chain_quiver(weights.chains(_decomp([0, 1]))))
+    rep = quiver.DoubleQuiverRep(quiver=dq, matrices={"A1": [[1.0]], "B1": [[2.0]]})
+    return json.loads(jsonio.dumps(jsonio.rep_to_json(rep)))
+
+
+def _set(obj, keys, value):
+    for key in keys[:-1]:
+        obj = obj[key]
+    obj[keys[-1]] = value
+
+
+# (decoder, valid input factory, keys of one integer field, its JSON path)
+INTEGER_FIELDS = [
+    (jsonio.weight_data_from_json, lambda: {"rank": 1, "weights": [0, 1]}, ["rank"], "rank"),
+    (jsonio.weight_data_from_json, lambda: {"rank": 1, "weights": [0, 1]}, ["weights", 1], "weights[1]"),
+    (
+        jsonio.weight_data_from_json,
+        lambda: {"rank": 2, "weights": [[0, 0], [1, 0]]},
+        ["weights", 1, 0],
+        "weights[1][0]",
+    ),
+    (jsonio.matrix_from_json, lambda: jsonio.matrix_to_json(np.eye(1)), ["rows"], "rows"),
+    (jsonio.matrix_from_json, lambda: jsonio.matrix_to_json(np.eye(1)), ["cols"], "cols"),
+    (
+        jsonio.connection_from_json,
+        lambda: jsonio.connection_to_json(
+            connection.ConnectionData(
+                decomposition=_decomp([0, 1]), a=np.zeros((2, 2)), b=np.zeros((2, 2))
+            )
+        ),
+        ["B", "rows"],
+        "B.rows",
+    ),
+    (
+        jsonio.frame_tuple_from_json,
+        lambda: {"rank": 1, "A_list": [jsonio.matrix_to_json(np.eye(1))]},
+        ["rank"],
+        "rank",
+    ),
+    (jsonio.rep_from_json, _scalar_rep_obj, ["vertices", 0], "vertices[0]"),
+    (jsonio.rep_from_json, _scalar_rep_obj, ["arrows", 1, "tail"], "arrows[1].tail"),
+    (jsonio.rep_from_json, _scalar_rep_obj, ["arrows", 0, "head"], "arrows[0].head"),
+    (jsonio.rep_from_json, _scalar_rep_obj, ["matrices", "A1", "cols"], "matrices.A1.cols"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 1.7, 2.0, None, "2"], ids=repr)
+@pytest.mark.parametrize("decode, make, keys, path", INTEGER_FIELDS, ids=[f[3] for f in INTEGER_FIELDS])
+def test_counts_and_weights_must_be_json_integers(decode, make, keys, path, bad):
+    obj = make()
+    decode(obj)
+    _set(obj, keys, bad)
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)} must be an integer"):
+        decode(obj)
 
 
 def test_dumps_is_canonical():

@@ -219,24 +219,6 @@ def test_invert_matches_numpy_on_well_conditioned_input():
 # --- helpers ------------------------------------------------------------------
 
 
-def test_block_structure_slices_and_total():
-    bs = linalg.BlockStructure(sizes=(2, 1, 3))
-    assert bs.total == 6
-    assert bs.slices() == [slice(0, 2), slice(2, 3), slice(3, 6)]
-
-
-def test_block_structure_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        linalg.BlockStructure(sizes=(2, 0))
-    with pytest.raises(ValueError):
-        linalg.BlockStructure(sizes=())
-
-
-def test_block_diag_assembly():
-    got = linalg.block_diag([np.eye(2) * 2, np.array([[3.0]])])
-    assert_allclose(got, np.diag([2.0, 2.0, 3.0]), atol=0)
-
-
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))

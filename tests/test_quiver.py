@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +12,7 @@ from modulikit.errors import (
     DimensionMismatchError,
     QuiverMismatchError,
 )
-from util import disk_invertible, rel_err
+from util import brute_cycles, disk_invertible, rel_err
 
 SEED = 90210
 
@@ -42,19 +40,6 @@ def _random_rep(rng, dq):
         for a in dq.arrows
     }
     return quiver.DoubleQuiverRep(quiver=dq, matrices=mats)
-
-
-def _brute_cycles(dq, max_len):
-    """Independent oracle: filter all label words for cyclic path-consistency."""
-    by_label = {a.label: a for a in dq.arrows}
-    found = set()
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(sorted(by_label), repeat=length):
-            arrows = [by_label[lbl] for lbl in combo]
-            if any(arrows[k].head != arrows[(k + 1) % length].tail for k in range(length)):
-                continue
-            found.add(quiver.canonical_rotation(combo))
-    return sorted(found, key=lambda w: (len(w), w))
 
 
 # --- quiver construction ----------------------------------------------------------
@@ -287,7 +272,7 @@ def test_enumerate_cycles_matches_bruteforce():
     ]
     for dq in cases:
         for max_len in (1, 2, 3, 5):
-            assert quiver.enumerate_cycles(dq, max_len) == _brute_cycles(dq, max_len)
+            assert quiver.enumerate_cycles(dq, max_len) == brute_cycles(dq, max_len)
     del rng
 
 

@@ -1,41 +1,25 @@
-"""Shared random samplers for the test suite.
+"""Shared random samplers and oracles for the test suite.
 
 Everything is driven by an explicit numpy Generator so tests stay
 deterministic; conditioning of invertible draws is bounded so relative
-error bounds are meaningful.
+error bounds are meaningful.  The matrix samplers are the library's own
+(``modulikit._sampling``); the cycle oracle is independent of it.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-
-def cnormal(rng, n, m=None):
-    """Complex standard normal matrix, unit entry variance."""
-    m = n if m is None else m
-    return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
-
-
-def unitary(rng, n):
-    """Haar-ish unitary from a QR factorization with phase fixing."""
-    q, r = np.linalg.qr(cnormal(rng, n))
-    diag = np.diag(r)
-    phases = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
-    return q * phases
-
-
-def well_conditioned(rng, n):
-    """Random invertible matrix with singular values in [1/e, e]."""
-    core = np.exp(rng.uniform(-1.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
-    return unitary(rng, n) @ np.diag(core) @ unitary(rng, n)
+from modulikit import quiver
+from modulikit._sampling import cnormal, unit_disk, unitary, well_conditioned
 
 
 def disk_invertible(rng, n, bound=1e3):
     """Identity plus unit-disk entries, rejecting condition numbers above bound."""
     for _ in range(64):
-        radius = np.sqrt(rng.uniform(0.0, 1.0, (n, n)))
-        angle = rng.uniform(0.0, 2.0 * np.pi, (n, n))
-        h = np.eye(n) + radius * np.exp(1j * angle)
+        h = np.eye(n) + unit_disk(rng, (n, n))
         if np.linalg.cond(h) <= bound:
             return h
     raise RuntimeError("no well-conditioned draw")
@@ -44,3 +28,16 @@ def disk_invertible(rng, n, bound=1e3):
 def rel_err(diff, scale):
     """Frobenius norm of diff relative to scale, floored at 1e-14."""
     return float(np.linalg.norm(diff)) / max(float(scale), 1e-14)
+
+
+def brute_cycles(dq, max_len):
+    """Independent oracle: filter all label words for cyclic path-consistency."""
+    by_label = {a.label: a for a in dq.arrows}
+    found = set()
+    for length in range(1, max_len + 1):
+        for combo in itertools.product(sorted(by_label), repeat=length):
+            arrows = [by_label[lbl] for lbl in combo]
+            if any(arrows[k].head != arrows[(k + 1) % length].tail for k in range(length)):
+                continue
+            found.add(quiver.canonical_rotation(combo))
+    return sorted(found, key=lambda w: (len(w), w))
