@@ -35,7 +35,7 @@ from .linalg import (
     is_unitary,
     scaled_tol,
 )
-from .weights import WeightData, WeightDecomposition, decompose, phase_vector
+from .weights import WeightData, WeightDecomposition, commutant_contains, decompose
 
 # Number of sampled torus elements used by the covariance checks.
 DEFAULT_SAMPLES = 32
@@ -197,14 +197,15 @@ class PurityResult:
         return self.pure
 
 
-def _weight_diff(d: WeightDecomposition) -> np.ndarray:
-    w = d.index_weights()[:, 0]
-    return w[:, None] - w[None, :]
+def _shifts(d: WeightDecomposition) -> np.ndarray:
+    """Exact weight differences ``w_i - w_j``: int64 array of shape (dim, dim, rank)."""
+    w = d.index_weights()
+    return w[:, None, :] - w[None, :, :]
 
 
 def structural_violations(c: ConnectionData) -> list[Violation]:
     """Exact-zero test on entries outside the allowed weight-shift pattern."""
-    diff = _weight_diff(c.decomposition)
+    diff = _shifts(c.decomposition)[:, :, 0]
     out: list[Violation] = []
     for name, m, shift in (("A", c.a, 1), ("B", c.b, -1)):
         bad = (diff != shift) & (m != 0)
@@ -219,6 +220,42 @@ def structural_violations(c: ConnectionData) -> list[Violation]:
     return out
 
 
+def _sampled_covariance(
+    d: WeightDecomposition, entries, samples, seed, tol, detail, found=()
+) -> CheckReport:
+    """Report on ``f(tau) M f(tau)^{-1} = tau^t M`` at sampled tau, after ``found``.
+
+    ``entries`` holds ``(check, M, t)`` with t the integer target shift of M.
+    Entry (i, j) and the target are scaled by the same ``exp(i angle . s)``,
+    evaluated once per distinct shift s, so |M|^2 mass on ``s = t`` adds
+    exactly 0 at any weight size (``tau ** s`` would drift off the unit
+    circle at large s).  Violations follow ``found``, sample-major
+    in entry order; ``detail(sample, angle)`` describes each.
+    """
+    angles = 2 * np.pi * np.random.default_rng(seed).uniform(size=(samples, d.rank))
+    support = [m != 0 for _, m, _ in entries]
+    rows = [np.array([t for *_, t in entries]), *(_shifts(d)[s] for s in support)]
+    keys, key_of = np.unique(np.concatenate(rows), axis=0, return_inverse=True)
+    target, *owned = np.split(key_of, np.cumsum([len(r) for r in rows[:-1]]))
+    phase = np.exp(1j * (angles @ keys.T))
+    res = np.empty((samples, len(entries)))
+    for k, ((_, m, _), s, ix) in enumerate(zip(entries, support, owned)):
+        mass = np.bincount(ix, weights=np.abs(m[s]) ** 2, minlength=len(keys))
+        off_target = np.abs(phase - phase[:, target[k], None]) ** 2
+        res[:, k] = np.sqrt(off_target @ mass) / max(frob(m), ABS_FLOOR)
+    violations = list(found) + [
+        Violation(check=entries[k][0], measure=float(res[s, k]), detail=detail(s, angles[s]))
+        for s, k in np.argwhere(res > tol)
+    ]
+    return CheckReport(
+        ok=not violations,
+        worst=max([float(res.max(initial=0.0)), *(v.measure for v in found)]),
+        tol=tol,
+        checks=len(found) + res.size,
+        violations=tuple(violations),
+    )
+
+
 def validate_covariance(
     c: ConnectionData,
     samples: int = DEFAULT_SAMPLES,
@@ -230,36 +267,15 @@ def validate_covariance(
     Structural failures are nonzero entries on forbidden blocks.  Sampled
     failures are residuals ``f(tau) A f(conj(tau)) - tau A`` (and the
     conjugate relation for B) above ``tol`` relative to the matrix norm.
+    The torus acts on entry (i, j) through the exact integer shift
+    ``w_i - w_j`` only, so data that passes the structural check has a
+    sampled residual of exactly 0 at any weight size.
     """
-    violations = structural_violations(c)
-    rng = np.random.default_rng(seed)
-    d = c.decomposition
-    na, nb = frob(c.a), frob(c.b)
-    worst = max((v.measure for v in violations), default=0.0)
-    checks = len(violations)
-    for s in range(samples):
-        tau = complex(np.exp(2j * np.pi * rng.uniform()))
-        phase = phase_vector(d, tau)
-        conj_action = phase[:, None] * np.conj(phase)[None, :]
-        res_a = frob(conj_action * c.a - tau * c.a) / max(na, ABS_FLOOR)
-        res_b = frob(conj_action * c.b - np.conj(tau) * c.b) / max(nb, ABS_FLOOR)
-        checks += 2
-        for name, res in (("A", res_a), ("B", res_b)):
-            worst = max(worst, res)
-            if res > tol:
-                violations.append(
-                    Violation(
-                        check=f"sampled:{name}",
-                        measure=float(res),
-                        detail=f"sample {s}, tau={tau:.6f}",
-                    )
-                )
-    return CheckReport(
-        ok=not violations,
-        worst=float(worst),
-        tol=tol,
-        checks=checks,
-        violations=tuple(violations),
+    entries = (("sampled:A", c.a, (1,)), ("sampled:B", c.b, (-1,)))
+    return _sampled_covariance(
+        c.decomposition, entries, samples, seed, tol,
+        lambda s, angle: f"sample {s}, tau={complex(np.exp(1j * angle[0])):.6f}",
+        structural_violations(c),
     )
 
 
@@ -314,31 +330,21 @@ def gauge(c: ConnectionData, h, tol: float = DEFAULT_TOL) -> ConnectionData:
 
     ``h`` must be block diagonal for the grading within ``tol`` (its
     off-block part is discarded) and every diagonal block must be
-    invertible.  The conjugation is carried out block by block, so exact
-    zeros on forbidden blocks stay exact.
+    invertible.  The conjugation is one product of block-diagonal factors,
+    so exact zeros on forbidden blocks stay exact.
     """
-    from .weights import commutant_contains
-
     h = as_matrix(h, square=True)
     d = c.decomposition
     if h.shape[0] != d.dim:
         raise DimensionMismatchError(f"gauge matrix is {h.shape}, grading has dim {d.dim}")
     if not commutant_contains(d, h, tol):
         raise NotInCommutantError("gauge matrix is not block diagonal for the grading")
-    blocks = [list(b.indices) for b in d.blocks]
-    hs = [h[np.ix_(ix, ix)] for ix in blocks]
-    hinvs = [invert(m) for m in hs]
-    new_a = np.zeros_like(c.a)
-    new_b = np.zeros_like(c.b)
-    for p, ip in enumerate(blocks):
-        for q, iq in enumerate(blocks):
-            sub_a = c.a[np.ix_(ip, iq)]
-            if np.any(sub_a != 0):
-                new_a[np.ix_(ip, iq)] = hs[p] @ sub_a @ hinvs[q]
-            sub_b = c.b[np.ix_(ip, iq)]
-            if np.any(sub_b != 0):
-                new_b[np.ix_(ip, iq)] = hs[p] @ sub_b @ hinvs[q]
-    return ConnectionData(decomposition=d, a=new_a, b=new_b)
+    hb = np.where(_shifts(d).any(axis=-1), 0, h)
+    hinv = np.zeros_like(hb)
+    for block in d.blocks:
+        ix = np.ix_(block.indices, block.indices)
+        hinv[ix] = invert(hb[ix])
+    return ConnectionData(decomposition=d, a=hb @ c.a @ hinv, b=hb @ c.b @ hinv)
 
 
 def check_torus_multirank(
@@ -350,37 +356,16 @@ def check_torus_multirank(
     """Sampled covariance for a rank-r frame tuple with weight data.
 
     For sampled ``tau`` in the r-torus, checks ``f(tau) A_i f(tau)^{-1} =
-    tau_i A_i`` and ``f(tau) B_i f(tau)^{-1} = conj(tau_i) B_i``.
+    tau_i A_i`` and ``f(tau) B_i f(tau)^{-1} = conj(tau_i) B_i`` through
+    the exact integer shifts ``w_i - w_j``, as ``validate_covariance`` does.
     """
     if t.weights is None:
         raise MissingWeightsError("multi-rank torus check needs weight data on the tuple")
-    d = decompose(t.weights)
-    rng = np.random.default_rng(seed)
-    norms_a = [max(frob(a), ABS_FLOOR) for a in t.a_list]
-    norms_b = [max(frob(b), ABS_FLOOR) for b in t.b_list]
-    worst = 0.0
-    checks = 0
-    violations: list[Violation] = []
-    for s in range(samples):
-        tau = np.exp(2j * np.pi * rng.uniform(size=d.rank))
-        phase = phase_vector(d, tau)
-        conj_action = phase[:, None] * np.conj(phase)[None, :]
-        for i in range(t.rank):
-            res_a = frob(conj_action * t.a_list[i] - tau[i] * t.a_list[i]) / norms_a[i]
-            res_b = frob(conj_action * t.b_list[i] - np.conj(tau[i]) * t.b_list[i]) / norms_b[i]
-            checks += 2
-            for name, res in ((f"A_{i + 1}", res_a), (f"B_{i + 1}", res_b)):
-                worst = max(worst, res)
-                if res > tol:
-                    violations.append(
-                        Violation(check=f"torus:{name}", measure=float(res), detail=f"sample {s}")
-                    )
-    return CheckReport(
-        ok=not violations,
-        worst=float(worst),
-        tol=tol,
-        checks=checks,
-        violations=tuple(violations),
+    entries = []
+    for i, (a, b, e) in enumerate(zip(t.a_list, t.b_list, np.eye(t.rank, dtype=np.int64))):
+        entries += [(f"torus:A_{i + 1}", a, e), (f"torus:B_{i + 1}", b, -e)]
+    return _sampled_covariance(
+        decompose(t.weights), entries, samples, seed, tol, lambda s, _: f"sample {s}"
     )
 
 

@@ -50,6 +50,13 @@ def _int(value, path: str) -> int:
     raise ValueError(f"{path} must be an integer, got {value!r}")
 
 
+def _list(value, path: str) -> list:
+    """A JSON array; ``path`` names the value in error messages."""
+    if isinstance(value, list):
+        return value
+    raise ValueError(f"{path} must be a list, got {type(value).__name__}")
+
+
 def matrix_from_json(obj, at: str = "") -> np.ndarray:
     _require(isinstance(obj, dict), "matrix must be a JSON object")
     _require(
@@ -58,8 +65,7 @@ def matrix_from_json(obj, at: str = "") -> np.ndarray:
     )
     rows, cols = _int(obj["rows"], f"{at}rows"), _int(obj["cols"], f"{at}cols")
     _require(rows >= 0 and cols >= 0, "rows and cols must be nonnegative")
-    entries = obj["entries"]
-    _require(isinstance(entries, list), "entries must be a list")
+    entries = _list(obj["entries"], f"{at}entries")
     _require(len(entries) == rows * cols, f"expected {rows * cols} entries, got {len(entries)}")
     flat = np.zeros(rows * cols, dtype=complex)
     for k, pair in enumerate(entries):
@@ -125,14 +131,18 @@ def frame_tuple_to_json(t: FrameTuple) -> dict:
     return out
 
 
+def _matrix_list(value, path: str) -> tuple[np.ndarray, ...]:
+    return tuple(matrix_from_json(m, f"{path}[{k}].") for k, m in enumerate(_list(value, path)))
+
+
 def frame_tuple_from_json(obj) -> FrameTuple:
     _require(isinstance(obj, dict), "frame tuple must be a JSON object")
     _require(set(obj) >= {"rank", "A_list"}, "frame tuple needs rank and A_list")
-    a_list = tuple(matrix_from_json(m, f"A_list[{k}].") for k, m in enumerate(obj["A_list"]))
+    a_list = _matrix_list(obj["A_list"], "A_list")
     _require(len(a_list) == _int(obj["rank"], "rank"), "rank must equal the length of A_list")
     b_list = None
     if obj.get("B_list") is not None:
-        b_list = tuple(matrix_from_json(m, f"B_list[{k}].") for k, m in enumerate(obj["B_list"]))
+        b_list = _matrix_list(obj["B_list"], "B_list")
     weights = None
     if obj.get("weights") is not None:
         weights = weight_data_from_json(obj["weights"], "weights.")
@@ -160,10 +170,9 @@ def rep_from_json(obj) -> DoubleQuiverRep:
         set(obj) >= {"vertices", "arrows", "matrices"},
         "representation needs vertices, arrows, matrices",
     )
-    _require(isinstance(obj["vertices"], list), "vertices must be a list")
-    dims = tuple(_int(d, f"vertices[{k}]") for k, d in enumerate(obj["vertices"]))
+    dims = tuple(_int(d, f"vertices[{k}]") for k, d in enumerate(_list(obj["vertices"], "vertices")))
     arrows = []
-    for k, entry in enumerate(obj["arrows"]):
+    for k, entry in enumerate(_list(obj["arrows"], "arrows")):
         _require(
             isinstance(entry, dict) and set(entry) >= {"tail", "head", "label"},
             f"arrow {k} needs tail, head, label",
@@ -185,4 +194,7 @@ def dumps(obj) -> str:
 
 def loads_path(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON is nested too deeply") from None

@@ -27,9 +27,13 @@ from .linalg import DEFAULT_TOL, as_matrix, frob, scaled_tol
 UNIT_MODULUS_TOL = 1e-12
 # Rejection bound for sampled centralizer elements.
 SAMPLE_COND_BOUND = 1e6
+# Every weight entry satisfies |w| < WEIGHT_BOUND, so that each difference
+# w_i - w_j, which the covariance checks and the gauge action use, is exact
+# in int64.
+WEIGHT_BOUND = 2**62
 
 
-def _normalize_weight(w, rank: int) -> tuple[int, ...]:
+def _normalize_weight(w, rank: int, k: int) -> tuple[int, ...]:
     if np.isscalar(w):
         vec = (int(w),)
     else:
@@ -38,6 +42,8 @@ def _normalize_weight(w, rank: int) -> tuple[int, ...]:
         raise DimensionMismatchError(
             f"weight vector {vec} has length {len(vec)}, expected rank {rank}"
         )
+    if any(abs(c) >= WEIGHT_BOUND for c in vec):
+        raise ValueError(f"weights[{k}] = {vec} is out of range: every entry needs |w| < 2**62")
     return vec
 
 
@@ -52,7 +58,7 @@ class WeightData:
         rank = int(self.rank)
         if rank < 1:
             raise ValueError("torus rank must be positive")
-        weights = tuple(_normalize_weight(w, rank) for w in self.weights)
+        weights = tuple(_normalize_weight(w, rank, k) for k, w in enumerate(self.weights))
         if not weights:
             raise ValueError("weight data needs at least one basis index")
         object.__setattr__(self, "rank", rank)

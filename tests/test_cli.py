@@ -326,3 +326,28 @@ def test_non_integer_counts_and_weights_exit_2(tmp_path, capsys, command, payloa
     code, report, err = _run(capsys, [command, "--input", path])
     assert code == 2 and report is None
     assert err.startswith("error:") and "must be an integer" in err
+
+
+_ONE = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}
+_ZERO2 = {"rows": 2, "cols": 2, "entries": [[0.0, 0.0]] * 4}
+
+
+@pytest.mark.parametrize(
+    "command, payload, names",
+    [
+        ("pure", {"rank": 1, "A_list": 5}, "A_list"),
+        ("pure", {"rank": 1, "A_list": [_ONE], "B_list": 5}, "B_list"),
+        ("invariants", {"vertices": [1, 1], "arrows": 5, "matrices": {}}, "arrows"),
+        ("validate", "[" * 100_000, "nested too deeply"),
+        ("decompose", {"rank": 1, "weights": [0, 2**70]}, "weights[1]"),
+        ("validate", {"weights": {"rank": 1, "weights": [0, 2**62]}, "A": _ZERO2, "B": _ZERO2}, "weights[1]"),
+    ],
+    ids=["A_list", "B_list", "arrows", "deep-nesting", "weight-2**70", "weight-2**62"],
+)
+def test_hostile_payloads_exit_2(tmp_path, capsys, command, payload, names):
+    path = tmp_path / "in.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
+    code, report, err = _run(capsys, [command, "--input", str(path)])
+    assert code == 2 and report is None
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert names in err and "Traceback" not in err

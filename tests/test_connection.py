@@ -109,6 +109,35 @@ def test_validate_zero_matrices_pass():
     assert connection.validate_covariance(c, seed=3).ok
 
 
+@pytest.mark.parametrize("offset", [10**9, 2**40])
+def test_validate_is_exact_at_large_weights(offset):
+    rng = np.random.default_rng(SEED + 2)
+    good = _random_connection(rng, [offset + w for w in (0, 1, 1, 2)])
+    report = connection.validate_covariance(good, seed=0)
+    assert report.ok and report.worst == 0.0
+    bad_a = np.array(good.a)
+    bad_a[0, 3] = 0.5  # lowers by 2: forbidden for the raising matrix
+    bad = connection.ConnectionData(decomposition=good.decomposition, a=bad_a, b=good.b)
+    checks = {v.check for v in connection.validate_covariance(bad, seed=0).violations}
+    assert checks == {"structural:A", "sampled:A"}
+
+
+def test_sampled_residuals_match_dense_reference():
+    # small weights, so tau ** w is exact enough to serve as the reference
+    rng = np.random.default_rng(SEED + 4)
+    good = _random_connection(rng, [0, 1, 1, 2])
+    a = good.a + cnormal(rng, 4)
+    c = connection.ConnectionData(decomposition=good.decomposition, a=a, b=good.b)
+    report = connection.validate_covariance(c, samples=8, seed=7)
+    taus = np.exp(2j * np.pi * np.random.default_rng(7).uniform(size=8))
+    want = []
+    for tau in taus:
+        f = weights.f_of(c.decomposition, complex(tau))
+        want.append(linalg.frob(f @ a @ np.conj(f) - tau * a) / linalg.frob(a))
+    got = [v.measure for v in report.violations if v.check == "sampled:A"]
+    assert_allclose(got, want, rtol=1e-13)
+
+
 # --- purity ------------------------------------------------------------------------
 
 
@@ -252,6 +281,21 @@ def test_gauge_preserves_zero_pattern_exactly():
     assert connection.validate_covariance(out, seed=0).ok
 
 
+def test_gauge_matches_block_by_block_reference():
+    rng = np.random.default_rng(SEED + 12)
+    c = _random_connection(rng, [0, 0, 1, 1, 1, 2, 4])
+    h = weights.sample_commutant(c.decomposition, seed=13)
+    blocks = [list(b.indices) for b in c.decomposition.blocks]
+    want = np.zeros_like(c.a)
+    for ip in blocks:
+        for iq in blocks:
+            hp, hq = h[np.ix_(ip, ip)], h[np.ix_(iq, iq)]
+            want[np.ix_(ip, iq)] = hp @ c.a[np.ix_(ip, iq)] @ np.linalg.inv(hq)
+    out = connection.gauge(c, h)
+    assert np.array_equal(out.a == 0, want == 0)
+    assert rel_err(out.a - want, linalg.frob(want)) <= 1e-14
+
+
 def test_gauge_composes():
     rng = np.random.default_rng(SEED + 11)
     c = _random_connection(rng, [0, 0, 1, 2])
@@ -310,6 +354,16 @@ def test_torus_multirank_checks_lowering_side():
         weights=w,
     )
     assert not connection.check_torus_multirank(bad, seed=1).ok
+
+
+def test_torus_multirank_is_exact_at_large_weights():
+    o = 10**9
+    w = weights.WeightData(rank=2, weights=((o, o), (o + 1, o), (o, o + 1)))
+    good = connection.FrameTuple(a_list=(_e(3, 1, 0), _e(3, 2, 0)), weights=w)
+    rep = connection.check_torus_multirank(good, seed=0)
+    assert rep.ok and rep.worst == 0.0
+    swapped = connection.FrameTuple(a_list=(_e(3, 2, 0), _e(3, 1, 0)), weights=w)
+    assert not connection.check_torus_multirank(swapped, seed=0).ok
 
 
 def test_torus_multirank_needs_weights():

@@ -89,6 +89,17 @@ def test_weight_data_validation():
         weights.WeightData(rank=2, weights=((0,),))
 
 
+@pytest.mark.parametrize(
+    "w, ok", [(2**62 - 1, True), (1 - 2**62, True), (2**62, False), (-(2**62), False), (2**70, False)]
+)
+def test_weight_entries_must_fit_exact_differences(w, ok):
+    if ok:
+        assert weights.WeightData.of([0, w]).weights == ((0,), (w,))
+    else:
+        with pytest.raises(ValueError, match=r"weights\[1\].*out of range"):
+            weights.WeightData.of([0, w])
+
+
 # --- chains --------------------------------------------------------------------
 
 
