@@ -228,19 +228,22 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cmd = COMMANDS[args.command]
     try:
-        args.seed = _resolve_seed(args.seed)
-        _check_domain(args)
-        code, fields = cmd.run(args, *_decode_inputs(args, cmd))
+        # an overflow surfaces below as a non-finite result, not as warnings
+        with np.errstate(all="ignore"):
+            args.seed = _resolve_seed(args.seed)
+            _check_domain(args)
+            code, fields = cmd.run(args, *_decode_inputs(args, cmd))
+        report = {
+            "command": args.command,
+            "violations": [],
+            "tolerances_used": {cmd.tol_key: args.tol} if cmd.tol_key else {},
+            **fields,
+        }
+        out = jsonio.dumps(report)
     except (ModulikitError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "command": args.command,
-        "violations": [],
-        "tolerances_used": {cmd.tol_key: args.tol} if cmd.tol_key else {},
-        **fields,
-    }
-    print(jsonio.dumps(report))
+    print(out)
     return code
 
 

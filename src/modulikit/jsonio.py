@@ -8,13 +8,15 @@ byte-identical output.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import numbers
 
 import numpy as np
 
 from .connection import ConnectionData, FrameTuple
-from .quiver import Arrow, DoubleQuiver, DoubleQuiverRep
+from .quiver import Arrow, DoubleQuiver, DoubleQuiverRep, _opposite_label
 from .weights import WeightData, decompose
 
 
@@ -57,6 +59,41 @@ def _list(value, path: str) -> list:
     raise ValueError(f"{path} must be a list, got {type(value).__name__}")
 
 
+def _number(value, path: str) -> float:
+    """A finite JSON number: an int or a float, but not a bool."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{path} must be a finite double-precision number, got {value!r:.40}")
+
+
+def _entries(entries: list, at: str) -> np.ndarray:
+    """Complex values of ``[re, im]`` pairs whose parts are finite JSON numbers.
+
+    The whole list is converted at once; only when that fails does the
+    entry-by-entry decode run, to name the first bad entry.  Both give
+    the same values.
+    """
+    try:
+        if set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+            parts = np.array(entries, dtype=float).reshape(len(entries), 2)
+            if np.isfinite(parts).all():
+                return parts.view(complex).reshape(-1)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    values = []
+    for k, pair in enumerate(entries):
+        _require(
+            isinstance(pair, (list, tuple)) and len(pair) == 2,
+            f"{at}entries[{k}] must be a [re, im] pair",
+        )
+        re, im = (_number(x, f"{at}entries[{k}][{j}]") for j, x in enumerate(pair))
+        values.append(complex(re, im))
+    return np.array(values, dtype=complex)
+
+
 def matrix_from_json(obj, at: str = "") -> np.ndarray:
     _require(isinstance(obj, dict), "matrix must be a JSON object")
     _require(
@@ -67,15 +104,7 @@ def matrix_from_json(obj, at: str = "") -> np.ndarray:
     _require(rows >= 0 and cols >= 0, "rows and cols must be nonnegative")
     entries = _list(obj["entries"], f"{at}entries")
     _require(len(entries) == rows * cols, f"expected {rows * cols} entries, got {len(entries)}")
-    flat = np.zeros(rows * cols, dtype=complex)
-    for k, pair in enumerate(entries):
-        _require(
-            isinstance(pair, (list, tuple)) and len(pair) == 2,
-            f"entry {k} must be a [re, im] pair",
-        )
-        flat[k] = complex(float(pair[0]), float(pair[1]))
-    _require(bool(np.all(np.isfinite(flat))), "matrix entries must be finite")
-    return flat.reshape(rows, cols)
+    return _entries(entries, at).reshape(rows, cols)
 
 
 def weight_data_to_json(w: WeightData) -> dict:
@@ -162,8 +191,10 @@ def rep_to_json(rep: DoubleQuiverRep) -> dict:
 def rep_from_json(obj) -> DoubleQuiverRep:
     """Load a double-quiver representation.
 
-    Arrows labeled ``A<k>`` pair with ``B<k>``; DoubleQuiver rejects an
-    arrow that is not in exactly one such orientation-reversed pair.
+    Each arrow pairs with the arrow named by the rule of
+    :func:`modulikit.quiver.double` (``A<rest>`` with ``B<rest>``, any
+    other label ``X`` with ``X_op``) when that arrow exists; DoubleQuiver
+    rejects an arrow that is not in exactly one orientation-reversed pair.
     """
     _require(isinstance(obj, dict), "representation must be a JSON object")
     _require(
@@ -179,7 +210,9 @@ def rep_from_json(obj) -> DoubleQuiverRep:
         )
         tail, head = _int(entry["tail"], f"arrows[{k}].tail"), _int(entry["head"], f"arrows[{k}].head")
         arrows.append(Arrow(tail=tail, head=head, label=str(entry["label"])))
-    pairs = tuple((a.label, "B" + a.label[1:]) for a in arrows if a.label.startswith("A"))
+    labels = {a.label for a in arrows}
+    opposites = ((a.label, _opposite_label(a.label)) for a in arrows)
+    pairs = tuple((orig, opp) for orig, opp in opposites if opp in labels)
     quiver = DoubleQuiver(dims=dims, arrows=tuple(arrows), pairs=pairs)
     mats = obj["matrices"]
     _require(isinstance(mats, dict), "matrices must be a JSON object")
@@ -189,7 +222,10 @@ def rep_from_json(obj) -> DoubleQuiverRep:
 
 def dumps(obj) -> str:
     """Canonical JSON: sorted keys, no NaN/Inf, deterministic bytes."""
-    return json.dumps(obj, sort_keys=True, allow_nan=False)
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError("result is not finite: floating-point overflow") from None
 
 
 def loads_path(path: str):

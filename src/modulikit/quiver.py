@@ -3,9 +3,9 @@
 A rank-1 weight grading with levels ``m, m+1, ..., m+l`` yields a linear
 chain quiver: one vertex per level, one arrow per consecutive pair,
 pointing from lower to higher weight.  Doubling adds the reversed arrow
-for every original one (label ``Ak`` pairs with ``Bk``).  Connection data
-restricted to its allowed blocks is exactly a representation of the
-double.
+for every original one (``A<rest>`` pairs with ``B<rest>``, any other
+label ``X`` with ``X_op``).  Connection data restricted to its allowed
+blocks is exactly a representation of the double.
 
 Two moment-map conventions are provided.  With ``"paper"`` the sum runs
 over every arrow of the double, which makes the map vanish identically:
@@ -97,7 +97,7 @@ class DoubleQuiver:
             if fwd.tail != rev.head or fwd.head != rev.tail:
                 raise ValueError(f"pair ({orig}, {opp}) is not orientation reversed")
             seen.update((orig, opp))
-        if len(seen) != len(self.arrows):
+        if len(seen) != len(self.arrows) or len(seen) != 2 * len(self.pairs):
             raise ValueError("every arrow must belong to exactly one pair")
 
     def opposite(self, label: str) -> str:
@@ -191,7 +191,7 @@ def chain_quiver(ch: ChainDecomposition) -> Quiver:
 
 
 def _opposite_label(label: str) -> str:
-    if label.startswith("A") and len(label) > 1:
+    if label.startswith("A"):
         return "B" + label[1:]
     return label + "_op"
 
@@ -295,27 +295,29 @@ def enumerate_cycles(dq: DoubleQuiver, max_len: int) -> list[tuple[str, ...]]:
     Closed paths that traverse a loop several times count (their words
     are distinct); rotations of one word are identified.  Output is
     sorted by length, then lexicographically.
+
+    Prenecklace search (Cattell, Ruskey, Sawada, Serra, Miers, J.
+    Algorithms 37, 2000) restricted to paths: a word of length ``t`` whose
+    longest Lyndon prefix has length ``p`` extends only by labels ``>=
+    word[t - p]`` (an equal label keeps ``p``, a larger one sets ``p = t +
+    1``), and it is its own least rotation iff ``p`` divides ``t``.  Every
+    prefix of a closed path is a path, so each rotation class of closed
+    paths is reached once, as its least rotation.
     """
     if max_len < 1:
         return []
-    outgoing: dict[int, list[Arrow]] = {v: [] for v in range(len(dq.dims))}
-    for a in dq.arrows:
-        outgoing[a.tail].append(a)
-    for v in outgoing:
-        outgoing[v].sort(key=lambda a: a.label)
-    found: set[tuple[str, ...]] = set()
-
-    def walk(start: int, here: int, word: list[str]) -> None:
-        for a in outgoing[here]:
-            word.append(a.label)
-            if a.head == start:
-                found.add(canonical_rotation(tuple(word)))
-            if len(word) < max_len:
-                walk(start, a.head, word)
-            word.pop()
-
-    for start in range(len(dq.dims)):
-        walk(start, start, [])
+    by_label = {a.label: a for a in dq.arrows}
+    labels = sorted(by_label)
+    found = []
+    stack = [((label,), 1) for label in labels]
+    while stack:
+        word, p = stack.pop()
+        t, here = len(word), by_label[word[-1]].head
+        if t % p == 0 and here == by_label[word[0]].tail:
+            found.append(word)
+        for label in labels if t < max_len else ():
+            if label >= word[t - p] and by_label[label].tail == here:
+                stack.append((word + (label,), p if label == word[t - p] else t + 1))
     return sorted(found, key=lambda w: (len(w), w))
 
 
@@ -346,7 +348,10 @@ def cycle_trace(rep: DoubleQuiverRep, word: tuple[str, ...]) -> complex:
         here = a.head
     if here != first.tail:
         raise ValueError(f"word {word} is not closed")
-    return complex(np.trace(m))
+    trace = complex(np.trace(m))
+    if not np.isfinite(trace):
+        raise ValueError(f"trace along word {','.join(word)} is not finite")
+    return trace
 
 
 def invariants(rep: DoubleQuiverRep, max_len: int | None = None) -> InvariantVector:
@@ -398,11 +403,9 @@ def equivalence_certificate(
     if not same_quiver(r1.quiver, r2.quiver):
         raise QuiverMismatchError("representations live on different double quivers")
     if max_len is None:
-        max_len = min(default_max_len(r1), default_max_len(r2))
-    v1 = invariants(r1, max_len)
-    v2 = invariants(r2, max_len)
-    for word, t1 in v1.entries.items():
-        t2 = v2.entries[word]
+        max_len = default_max_len(r1)
+    for word in enumerate_cycles(r1.quiver, max_len):
+        t1, t2 = cycle_trace(r1, word), cycle_trace(r2, word)
         if abs(t1 - t2) > tol * max(abs(t1), abs(t2), 1.0):
             return EquivalenceCertificate(
                 verdict="distinct",

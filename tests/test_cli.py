@@ -330,6 +330,10 @@ def test_non_integer_counts_and_weights_exit_2(tmp_path, capsys, command, payloa
 
 _ONE = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}
 _ZERO2 = {"rows": 2, "cols": 2, "entries": [[0.0, 0.0]] * 4}
+_SCALAR_1E200 = _scalar_rep_json(1e200, 1e200)
+
+
+_BOOL_STRING = {"rows": 2, "cols": 2, "entries": [[True, "1.5"]] + [[0.0, 0.0]] * 3}
 
 
 @pytest.mark.parametrize(
@@ -341,8 +345,19 @@ _ZERO2 = {"rows": 2, "cols": 2, "entries": [[0.0, 0.0]] * 4}
         ("validate", "[" * 100_000, "nested too deeply"),
         ("decompose", {"rank": 1, "weights": [0, 2**70]}, "weights[1]"),
         ("validate", {"weights": {"rank": 1, "weights": [0, 2**62]}, "A": _ZERO2, "B": _ZERO2}, "weights[1]"),
+        ("jordan-spectral", {"rows": 1, "cols": 1, "entries": [[None, 0]]}, "entries[0][0]"),
+        ("jordan-spectral", {"rows": 1, "cols": 1, "entries": [[[], 0]]}, "entries[0][0]"),
+        ("jordan-spectral", {"rows": 1, "cols": 1, "entries": [[{}, 0]]}, "entries[0][0]"),
+        ("jordan-spectral", {"rows": 1, "cols": 1, "entries": [[2**1100, 0]]}, "entries[0][0]"),
+        ("validate", {"weights": {"rank": 1, "weights": [0, 1]}, "A": _BOOL_STRING, "B": _ZERO2}, "A.entries[0][0]"),
+        ("invariants", _SCALAR_1E200, "not finite"),
+        ("moment", _SCALAR_1E200, "not finite"),
     ],
-    ids=["A_list", "B_list", "arrows", "deep-nesting", "weight-2**70", "weight-2**62"],
+    ids=[
+        "A_list", "B_list", "arrows", "deep-nesting", "weight-2**70", "weight-2**62",
+        "entry-null", "entry-list", "entry-object", "entry-2**1100", "entry-bool-string",
+        "invariants-overflow", "moment-overflow",
+    ],
 )
 def test_hostile_payloads_exit_2(tmp_path, capsys, command, payload, names):
     path = tmp_path / "in.json"
@@ -351,3 +366,28 @@ def test_hostile_payloads_exit_2(tmp_path, capsys, command, payload, names):
     assert code == 2 and report is None
     assert err.startswith("error:") and err.count("\n") == 1
     assert names in err and "Traceback" not in err
+
+
+def _loop_rep_json(diag):
+    dq = quiver.double(quiver.Quiver(dims=(2,), arrows=(quiver.Arrow(0, 0, "A1"),)))
+    rep = quiver.DoubleQuiverRep(quiver=dq, matrices={"A1": np.diag(diag), "B1": np.zeros((2, 2))})
+    return jsonio.rep_to_json(rep)
+
+
+def test_equiv_with_an_overflowing_trace_exits_2(tmp_path, capsys):
+    # tr(A1 A1) is inf on the left and 2e200 on the right: inf - 2e200 never
+    # exceeds tol * inf, so only the finiteness check stops a false verdict
+    left = _write(tmp_path, "l.json", _loop_rep_json([1e200, -1e200]))
+    right = _write(tmp_path, "r.json", _loop_rep_json([1e100, -1e100]))
+    code, report, err = _run(capsys, ["equiv", "--input", left, "--input", right, "--max-len", "2"])
+    assert code == 2 and report is None
+    assert err == "error: trace along word A1,A1 is not finite\n"
+
+
+def test_invariants_of_walks_longer_than_the_recursion_limit(tmp_path, capsys):
+    path = _write(tmp_path, "r.json", _scalar_rep_json(1.0, 1.0))
+    code, report, _ = _run(capsys, ["invariants", "--input", path, "--max-len", "1200"])
+    assert code == 0
+    entries = report["result"]["entries"]
+    assert len(entries) == 600  # (A1, B1)^k for k = 1..600
+    assert all(t == [1.0, 0.0] for t in entries.values())

@@ -6,11 +6,16 @@ expected stdout of case ``<name>`` is ``tests/golden/<name>.out`` and the
 expected exit codes are in ``tests/golden/exit_codes.json``.  These files
 change only together with a stated behaviour change; regenerate them with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
+
+The same cases, fed damaged copies of their inputs, gate the exit-code
+contract: every run ends in 0, 1 or 2 and never in an uncaught exception.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
+import functools
 import io
 import json
 import pathlib
@@ -76,6 +81,76 @@ def test_golden_report(name, args, monkeypatch):
     code, stdout = _run(args)
     assert stdout == (GOLDEN / f"{name}.out").read_bytes()
     assert code == exit_codes[name]
+
+
+# values that replace each field in turn; DROP removes the field instead
+HOSTILE = (None, True, "x", [], {}, 2**1100)
+DROP = object()
+
+
+def _fields(doc, path=()):
+    """Paths to every object field and to the first item of every array."""
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc[:1]))
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _scaled(doc):
+    """Every matrix entry multiplied by 1e200."""
+    if isinstance(doc, dict):
+        return {
+            k: [[1e200 * x for x in pair] for pair in v] if k == "entries" else _scaled(v)
+            for k, v in doc.items()
+        }
+    return [_scaled(v) for v in doc] if isinstance(doc, list) else doc
+
+
+def _damaged(doc):
+    yield "entries * 1e200", _scaled(doc)
+    for path in _fields(doc):
+        for value in HOSTILE + (DROP,):
+            label = "drop" if value is DROP else repr(value)[:12]
+            yield f"{'/'.join(map(str, path))} = {label}", _replaced(doc, path, value)
+
+
+INPUT_CASES = [(name, args) for name, args in CASES if "--input" in args]
+
+
+@pytest.mark.parametrize("name, args", INPUT_CASES, ids=[name for name, _ in INPUT_CASES])
+def test_damaged_inputs_keep_the_exit_code_contract(name, args, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    # one parser per case: building it for each of ~200 runs would dominate the time
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    argv = _argv(args)
+    for k in (k for k, arg in enumerate(args) if k and args[k - 1] == "--input"):
+        doc = json.loads((INPUTS / args[k]).read_text(encoding="utf-8"))
+        for n, (what, variant) in enumerate(_damaged(doc)):
+            path = tmp_path / f"{k}-{n}.json"
+            path.write_text(json.dumps(variant), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main(argv[:k] + [str(path)] + argv[k + 1 :])
+                except Exception as exc:
+                    pytest.fail(f"{args[k]}: {what} raises {exc!r}")
+            assert code in (0, 1, 2), f"{args[k]}: {what} exits {code}"
 
 
 if __name__ == "__main__":

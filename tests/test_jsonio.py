@@ -120,21 +120,23 @@ def test_frame_tuple_rank_must_match():
         jsonio.frame_tuple_from_json(obj)
 
 
+def _loop(label):
+    return quiver.Quiver(dims=(2,), arrows=(quiver.Arrow(tail=0, head=0, label=label),))
+
+
 def test_rep_round_trip():
-    d = weights.chains(_decomp([0, 0, 1]))
-    dq = quiver.double(quiver.chain_quiver(d))
     rng = np.random.default_rng(14)
-    rep = quiver.DoubleQuiverRep(
-        quiver=dq,
-        matrices={
-            "A1": rng.standard_normal((1, 2)),
-            "B1": rng.standard_normal((2, 1)),
-        },
-    )
-    back = jsonio.rep_from_json(json.loads(jsonio.dumps(jsonio.rep_to_json(rep))))
-    assert quiver.same_quiver(back.quiver, rep.quiver)
-    for label in rep.matrices:
-        assert np.array_equal(back.matrices[label], rep.matrices[label])
+    # a bare A pairs with B and any other label X with X_op, as double names them
+    for q in (quiver.chain_quiver(weights.chains(_decomp([0, 0, 1]))), _loop("X"), _loop("A")):
+        dq = quiver.double(q)
+        rep = quiver.DoubleQuiverRep(
+            quiver=dq,
+            matrices={a.label: rng.standard_normal((dq.dims[a.head], dq.dims[a.tail])) for a in dq.arrows},
+        )
+        back = jsonio.rep_from_json(json.loads(jsonio.dumps(jsonio.rep_to_json(rep))))
+        assert quiver.same_quiver(back.quiver, rep.quiver)
+        for label in rep.matrices:
+            assert np.array_equal(back.matrices[label], rep.matrices[label])
 
 
 def test_rep_requires_paired_labels():
@@ -169,12 +171,25 @@ def test_rep_requires_paired_labels():
     with pytest.raises(ValueError):
         jsonio.rep_from_json(unpaired)
 
+    # X pairs with X_op and X_op with X_op_op: X_op would be in two pairs
+    twice = json.loads(json.dumps(base))
+    for k, label in enumerate(("X", "X_op", "X_op_op")):
+        twice["arrows"].append({"tail": k % 2, "head": 1 - k % 2, "label": label})
+        twice["matrices"][label] = jsonio.matrix_to_json(np.eye(1))
+    with pytest.raises(ValueError, match="exactly one pair"):
+        jsonio.rep_from_json(twice)
+
 
 
 def _scalar_rep_obj():
     dq = quiver.double(quiver.chain_quiver(weights.chains(_decomp([0, 1]))))
     rep = quiver.DoubleQuiverRep(quiver=dq, matrices={"A1": [[1.0]], "B1": [[2.0]]})
     return json.loads(jsonio.dumps(jsonio.rep_to_json(rep)))
+
+
+def _zero_connection_obj():
+    c = connection.ConnectionData(decomposition=_decomp([0, 1]), a=np.zeros((2, 2)), b=np.zeros((2, 2)))
+    return json.loads(jsonio.dumps(jsonio.connection_to_json(c)))
 
 
 def _set(obj, keys, value):
@@ -195,16 +210,7 @@ INTEGER_FIELDS = [
     ),
     (jsonio.matrix_from_json, lambda: jsonio.matrix_to_json(np.eye(1)), ["rows"], "rows"),
     (jsonio.matrix_from_json, lambda: jsonio.matrix_to_json(np.eye(1)), ["cols"], "cols"),
-    (
-        jsonio.connection_from_json,
-        lambda: jsonio.connection_to_json(
-            connection.ConnectionData(
-                decomposition=_decomp([0, 1]), a=np.zeros((2, 2)), b=np.zeros((2, 2))
-            )
-        ),
-        ["B", "rows"],
-        "B.rows",
-    ),
+    (jsonio.connection_from_json, _zero_connection_obj, ["B", "rows"], "B.rows"),
     (
         jsonio.frame_tuple_from_json,
         lambda: {"rank": 1, "A_list": [jsonio.matrix_to_json(np.eye(1))]},
@@ -226,6 +232,30 @@ def test_counts_and_weights_must_be_json_integers(decode, make, keys, path, bad)
     _set(obj, keys, bad)
     with pytest.raises(ValueError, match=rf"^{re.escape(path)} must be an integer"):
         decode(obj)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [None, [], {}, 2**1100, True, "1.5", float("nan"), float("inf")],
+    ids=["null", "list", "object", "2**1100", "true", "string", "nan", "inf"],
+)
+@pytest.mark.parametrize("part", [0, 1])
+def test_matrix_entries_must_be_finite_json_numbers(bad, part):
+    obj = _zero_connection_obj()
+    jsonio.connection_from_json(obj)
+    obj["A"]["entries"][0][part] = bad
+    with pytest.raises(ValueError, match=rf"^A\.entries\[0\]\[{part}\] must be a finite"):
+        jsonio.connection_from_json(obj)
+
+
+def test_matrix_entries_take_ints_and_floats_alike():
+    m = jsonio.matrix_from_json({"rows": 1, "cols": 2, "entries": [[1, -2], [0.5, 3]]})
+    assert m.tolist() == [[1 - 2j, 0.5 + 3j]]
+    # a float subclass skips the whole-list conversion; entry by entry gives the same matrix
+    slow = jsonio.matrix_from_json({"rows": 1, "cols": 2, "entries": [[np.float64(1), -2], [0.5, 3]]})
+    assert np.array_equal(slow, m)
+    with pytest.raises(ValueError, match=r"^entries\[1\] must be a \[re, im\] pair"):
+        jsonio.matrix_from_json({"rows": 1, "cols": 2, "entries": [[1, 0], [1, 2, 3]]})
 
 
 def test_dumps_is_canonical():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -72,6 +74,8 @@ def test_double_of_loop_uses_op_suffix():
     q = quiver.Quiver(dims=(2,), arrows=(quiver.Arrow(tail=0, head=0, label="X"),))
     dq = quiver.double(q)
     assert dq.pairs == (("X", "X_op"),)
+    q = quiver.Quiver(dims=(2,), arrows=(quiver.Arrow(tail=0, head=0, label="A"),))
+    assert quiver.double(q).pairs == (("A", "B"),)
 
 
 def test_double_rejects_label_collision():
@@ -259,21 +263,41 @@ def test_enumerate_cycles_counts_loop_powers():
     assert ("X", "X") in got and ("X", "X_op") in got
 
 
+def _loop_double():
+    return quiver.double(quiver.Quiver(dims=(1,), arrows=(quiver.Arrow(tail=0, head=0, label="A1"),)))
+
+
 def test_enumerate_cycles_matches_bruteforce():
-    rng = np.random.default_rng(SEED + 5)
     cases = [
-        _chain_double([0, 1]),
-        _chain_double([0, 0, 1]),
-        _chain_double([0, 1, 2]),
-        _chain_double([0, 1, 3, 4]),
-        quiver.double(
-            quiver.Quiver(dims=(1, 2), arrows=(quiver.Arrow(tail=0, head=1, label="X"),))
+        (_chain_double([0, 1]), 5),
+        (_chain_double([0, 0, 1]), 5),
+        (_chain_double([0, 1, 2]), 5),
+        (_chain_double([0, 1, 3, 4]), 5),
+        (
+            quiver.double(
+                quiver.Quiver(dims=(1, 2), arrows=(quiver.Arrow(tail=0, head=1, label="X"),))
+            ),
+            5,
         ),
+        (_loop_double(), 8),
+        (_chain_double([0, 0, 1, 2]), 6),
     ]
-    for dq in cases:
-        for max_len in (1, 2, 3, 5):
+    for dq, longest in cases:
+        for max_len in (1, 2, 3, longest):
             assert quiver.enumerate_cycles(dq, max_len) == brute_cycles(dq, max_len)
-    del rng
+
+
+def test_enumerate_cycles_counts():
+    # one word per binary necklace of each length 1..14
+    necklaces = sum(sum(2 ** math.gcd(i, n) for i in range(n)) // n for n in range(1, 15))
+    assert necklaces == 2615
+    assert len(quiver.enumerate_cycles(_loop_double(), 14)) == 2615
+    assert len(quiver.enumerate_cycles(_chain_double(list(range(8))), 12)) == 599
+
+
+def test_enumerate_cycles_walks_far_beyond_the_recursion_limit():
+    words = quiver.enumerate_cycles(_chain_double([0, 1]), 3000)
+    assert words == [("A1", "B1") * k for k in range(1, 1501)]
 
 
 def test_default_max_len_cap():
