@@ -197,15 +197,9 @@ class PurityResult:
         return self.pure
 
 
-def _shifts(d: WeightDecomposition) -> np.ndarray:
-    """Exact weight differences ``w_i - w_j``: int64 array of shape (dim, dim, rank)."""
-    w = d.index_weights()
-    return w[:, None, :] - w[None, :, :]
-
-
 def structural_violations(c: ConnectionData) -> list[Violation]:
     """Exact-zero test on entries outside the allowed weight-shift pattern."""
-    diff = _shifts(c.decomposition)[:, :, 0]
+    diff = c.decomposition.shifts()[:, :, 0]
     out: list[Violation] = []
     for name, m, shift in (("A", c.a, 1), ("B", c.b, -1)):
         bad = (diff != shift) & (m != 0)
@@ -234,7 +228,7 @@ def _sampled_covariance(
     """
     angles = 2 * np.pi * np.random.default_rng(seed).uniform(size=(samples, d.rank))
     support = [m != 0 for _, m, _ in entries]
-    rows = [np.array([t for *_, t in entries]), *(_shifts(d)[s] for s in support)]
+    rows = [np.array([t for *_, t in entries]), *(d.shifts()[s] for s in support)]
     keys, key_of = np.unique(np.concatenate(rows), axis=0, return_inverse=True)
     target, *owned = np.split(key_of, np.cumsum([len(r) for r in rows[:-1]]))
     phase = np.exp(1j * (angles @ keys.T))
@@ -339,7 +333,7 @@ def gauge(c: ConnectionData, h, tol: float = DEFAULT_TOL) -> ConnectionData:
         raise DimensionMismatchError(f"gauge matrix is {h.shape}, grading has dim {d.dim}")
     if not commutant_contains(d, h, tol):
         raise NotInCommutantError("gauge matrix is not block diagonal for the grading")
-    hb = np.where(_shifts(d).any(axis=-1), 0, h)
+    hb = np.where(d.shifts().any(axis=-1), 0, h)
     hinv = np.zeros_like(hb)
     for block in d.blocks:
         ix = np.ix_(block.indices, block.indices)

@@ -16,7 +16,7 @@ import numbers
 import numpy as np
 
 from .connection import ConnectionData, FrameTuple
-from .quiver import Arrow, DoubleQuiver, DoubleQuiverRep, _opposite_label
+from .quiver import Arrow, DoubleQuiver, DoubleQuiverRep
 from .weights import WeightData, decompose
 
 
@@ -95,15 +95,16 @@ def _entries(entries: list, at: str) -> np.ndarray:
 
 
 def matrix_from_json(obj, at: str = "") -> np.ndarray:
-    _require(isinstance(obj, dict), "matrix must be a JSON object")
-    _require(
-        set(obj) >= {"rows", "cols", "entries"},
-        "matrix object needs rows, cols, entries",
-    )
+    name = at[:-1] or "matrix"
+    _require(isinstance(obj, dict), f"{name} must be a JSON object")
+    _require(set(obj) >= {"rows", "cols", "entries"}, f"{name} needs rows, cols, entries")
     rows, cols = _int(obj["rows"], f"{at}rows"), _int(obj["cols"], f"{at}cols")
-    _require(rows >= 0 and cols >= 0, "rows and cols must be nonnegative")
+    _require(rows >= 0 and cols >= 0, f"{at}rows and {at}cols must be nonnegative")
     entries = _list(obj["entries"], f"{at}entries")
-    _require(len(entries) == rows * cols, f"expected {rows * cols} entries, got {len(entries)}")
+    _require(
+        len(entries) == rows * cols,
+        f"{at}entries: expected {rows * cols} entries, got {len(entries)}",
+    )
     return _entries(entries, at).reshape(rows, cols)
 
 
@@ -112,11 +113,12 @@ def weight_data_to_json(w: WeightData) -> dict:
 
 
 def weight_data_from_json(obj, at: str = "") -> WeightData:
-    _require(isinstance(obj, dict), "weight data must be a JSON object")
-    _require(set(obj) >= {"rank", "weights"}, "weight data needs rank and weights")
+    name = at[:-1] or "weight data"
+    _require(isinstance(obj, dict), f"{name} must be a JSON object")
+    _require(set(obj) >= {"rank", "weights"}, f"{name} needs rank and weights")
     rank = _int(obj["rank"], f"{at}rank")
     ws = obj["weights"]
-    _require(isinstance(ws, list) and ws, "weights must be a nonempty list")
+    _require(isinstance(ws, list) and ws, f"{at}weights must be a nonempty list")
     vecs = []
     for k, w in enumerate(ws):
         if isinstance(w, list):
@@ -191,10 +193,10 @@ def rep_to_json(rep: DoubleQuiverRep) -> dict:
 def rep_from_json(obj) -> DoubleQuiverRep:
     """Load a double-quiver representation.
 
-    Each arrow pairs with the arrow named by the rule of
-    :func:`modulikit.quiver.double` (``A<rest>`` with ``B<rest>``, any
-    other label ``X`` with ``X_op``) when that arrow exists; DoubleQuiver
-    rejects an arrow that is not in exactly one orientation-reversed pair.
+    Labels must be JSON strings.  DoubleQuiver pairs the arrows by the
+    rule of :func:`modulikit.quiver.double` (``A<rest>`` with ``B<rest>``,
+    any other label ``X`` with ``X_op``) and rejects an arrow that is not
+    in exactly one orientation-reversed pair.
     """
     _require(isinstance(obj, dict), "representation must be a JSON object")
     _require(
@@ -206,14 +208,13 @@ def rep_from_json(obj) -> DoubleQuiverRep:
     for k, entry in enumerate(_list(obj["arrows"], "arrows")):
         _require(
             isinstance(entry, dict) and set(entry) >= {"tail", "head", "label"},
-            f"arrow {k} needs tail, head, label",
+            f"arrows[{k}] needs tail, head, label",
         )
         tail, head = _int(entry["tail"], f"arrows[{k}].tail"), _int(entry["head"], f"arrows[{k}].head")
-        arrows.append(Arrow(tail=tail, head=head, label=str(entry["label"])))
-    labels = {a.label for a in arrows}
-    opposites = ((a.label, _opposite_label(a.label)) for a in arrows)
-    pairs = tuple((orig, opp) for orig, opp in opposites if opp in labels)
-    quiver = DoubleQuiver(dims=dims, arrows=tuple(arrows), pairs=pairs)
+        label = entry["label"]
+        _require(isinstance(label, str), f"arrows[{k}].label must be a string, got {label!r:.40}")
+        arrows.append(Arrow(tail=tail, head=head, label=label))
+    quiver = DoubleQuiver(dims=dims, arrows=tuple(arrows))
     mats = obj["matrices"]
     _require(isinstance(mats, dict), "matrices must be a JSON object")
     matrices = {label: matrix_from_json(m, f"matrices.{label}.") for label, m in mats.items()}

@@ -20,7 +20,7 @@ paths, one representative per rotation class of the arrow-label word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .weights import ChainDecomposition, chains
 MOMENT_CONVENTIONS = ("paper", "standard")
 # Cap applied to the default cycle length min(N^2, MAX_LEN_CAP).
 MAX_LEN_CAP = 12
+# Budget of words the cycle search may visit (pop from its stack) before it
+# gives up; the loop double reaches it between max_len 20 and 21.
+MAX_CYCLE_WORDS = 2**18
 
 
 @dataclass(frozen=True)
@@ -71,62 +74,59 @@ class Quiver:
         _check_arrows(self.dims, self.arrows)
 
 
+def _opposite_label(label: str) -> str:
+    """The one pairing rule: ``A<rest>`` pairs with ``B<rest>``, any other ``X`` with ``X_op``."""
+    if label.startswith("A"):
+        return "B" + label[1:]
+    return label + "_op"
+
+
 @dataclass(frozen=True)
-class DoubleQuiver:
+class DoubleQuiver(Quiver):
     """Quiver whose arrows come in original/opposite pairs.
 
-    ``pairs`` lists (original label, opposite label) once per original
-    arrow; ``arrows`` contains both members of every pair.
+    Arrow ``X`` pairs with the arrow labelled ``_opposite_label(X)`` when
+    that arrow exists, and every arrow must belong to exactly one such
+    orientation-reversed pair.  ``pairs`` lists (original label, opposite
+    label) in arrow order; ``by_label`` and ``opposites`` index the arrows
+    and the pairing by label.
     """
 
-    dims: tuple[int, ...]
-    arrows: tuple[Arrow, ...]
-    pairs: tuple[tuple[str, str], ...]
+    pairs: tuple[tuple[str, str], ...] = field(init=False)
+    by_label: dict[str, Arrow] = field(init=False, repr=False, compare=False)
+    opposites: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "arrows", tuple(self.arrows))
-        object.__setattr__(self, "pairs", tuple((a, b) for a, b in self.pairs))
-        _check_arrows(self.dims, self.arrows)
+        super().__post_init__()
         by_label = {a.label: a for a in self.arrows}
-        seen = set()
-        for orig, opp in self.pairs:
-            if orig not in by_label or opp not in by_label:
-                raise ValueError(f"pair ({orig}, {opp}) references a missing arrow")
+        candidates = ((a.label, _opposite_label(a.label)) for a in self.arrows)
+        pairs = tuple((orig, opp) for orig, opp in candidates if opp in by_label)
+        table = {}
+        for orig, opp in pairs:
             fwd, rev = by_label[orig], by_label[opp]
             if fwd.tail != rev.head or fwd.head != rev.tail:
                 raise ValueError(f"pair ({orig}, {opp}) is not orientation reversed")
-            seen.update((orig, opp))
-        if len(seen) != len(self.arrows) or len(seen) != 2 * len(self.pairs):
+            table[orig], table[opp] = opp, orig
+        if len(table) != len(self.arrows) or len(table) != 2 * len(pairs):
             raise ValueError("every arrow must belong to exactly one pair")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "by_label", by_label)
+        object.__setattr__(self, "opposites", table)
 
     def opposite(self, label: str) -> str:
-        for orig, opp in self.pairs:
-            if label == orig:
-                return opp
-            if label == opp:
-                return orig
-        raise KeyError(label)
+        return self.opposites[label]
 
     def arrow(self, label: str) -> Arrow:
-        for a in self.arrows:
-            if a.label == label:
-                return a
-        raise KeyError(label)
+        return self.by_label[label]
 
     @property
     def originals(self) -> tuple[Arrow, ...]:
-        by_label = {a.label: a for a in self.arrows}
-        return tuple(by_label[orig] for orig, _ in self.pairs)
+        return tuple(self.by_label[orig] for orig, _ in self.pairs)
 
 
 def same_quiver(q1: DoubleQuiver, q2: DoubleQuiver) -> bool:
-    """Equality up to arrow ordering."""
-    return (
-        q1.dims == q2.dims
-        and set(q1.arrows) == set(q2.arrows)
-        and dict(q1.pairs) == dict(q2.pairs)
-    )
+    """Equality up to arrow ordering; the pairing follows from the arrows."""
+    return q1.dims == q2.dims and set(q1.arrows) == set(q2.arrows)
 
 
 @dataclass(eq=False)
@@ -190,25 +190,10 @@ def chain_quiver(ch: ChainDecomposition) -> Quiver:
     )
 
 
-def _opposite_label(label: str) -> str:
-    if label.startswith("A"):
-        return "B" + label[1:]
-    return label + "_op"
-
-
 def double(q: Quiver) -> DoubleQuiver:
-    """Add the reversed arrow for every arrow of ``q``."""
-    arrows = list(q.arrows)
-    pairs = []
-    taken = {a.label for a in arrows}
-    for a in q.arrows:
-        opp = _opposite_label(a.label)
-        if opp in taken:
-            raise ValueError(f"opposite label {opp} collides with an existing arrow")
-        taken.add(opp)
-        arrows.append(Arrow(tail=a.head, head=a.tail, label=opp))
-        pairs.append((a.label, opp))
-    return DoubleQuiver(dims=q.dims, arrows=tuple(arrows), pairs=tuple(pairs))
+    """Add the reversed arrow, labelled ``_opposite_label``, for every arrow of ``q``."""
+    reverse = (Arrow(tail=a.head, head=a.tail, label=_opposite_label(a.label)) for a in q.arrows)
+    return DoubleQuiver(dims=q.dims, arrows=q.arrows + tuple(reverse))
 
 
 def from_connection(c) -> DoubleQuiverRep:
@@ -302,16 +287,21 @@ def enumerate_cycles(dq: DoubleQuiver, max_len: int) -> list[tuple[str, ...]]:
     word[t - p]`` (an equal label keeps ``p``, a larger one sets ``p = t +
     1``), and it is its own least rotation iff ``p`` divides ``t``.  Every
     prefix of a closed path is a path, so each rotation class of closed
-    paths is reached once, as its least rotation.
+    paths is reached once, as its least rotation.  A search that visits
+    more than ``MAX_CYCLE_WORDS`` words raises ValueError.
     """
     if max_len < 1:
         return []
-    by_label = {a.label: a for a in dq.arrows}
+    by_label = dq.by_label
     labels = sorted(by_label)
     found = []
     stack = [((label,), 1) for label in labels]
+    visited = 0
     while stack:
         word, p = stack.pop()
+        visited += 1
+        if visited > MAX_CYCLE_WORDS:
+            raise ValueError(f"cycle search at max_len {max_len} exceeds {MAX_CYCLE_WORDS} words")
         t, here = len(word), by_label[word[-1]].head
         if t % p == 0 and here == by_label[word[0]].tail:
             found.append(word)

@@ -44,8 +44,7 @@ def _rand_decomposition(rng, n=None, lo=-3, hi=3):
 
 def _pattern_pair(rng, d):
     """Random (A, B) supported exactly on the allowed shift pattern."""
-    w = d.index_weights()[:, 0]
-    diff = w[:, None] - w[None, :]
+    diff = d.shifts()[:, :, 0]
     a = np.where(diff == 1, cnormal(rng, d.dim), 0.0)
     b = np.where(diff == -1, cnormal(rng, d.dim), 0.0)
     return a, b

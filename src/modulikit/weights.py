@@ -104,17 +104,15 @@ class WeightDecomposition:
 
     def index_weights(self) -> np.ndarray:
         """Integer array of shape (dim, rank): the weight vector of each index."""
-        out = np.zeros((self.dim, self.rank), dtype=int)
+        out = np.zeros((self.dim, self.rank), dtype=np.int64)
         for block in self.blocks:
             out[list(block.indices)] = block.weight
         return out
 
-    def block_ids(self) -> np.ndarray:
-        """Integer array mapping each basis index to its block position."""
-        out = np.full(self.dim, -1, dtype=int)
-        for b, block in enumerate(self.blocks):
-            out[list(block.indices)] = b
-        return out
+    def shifts(self) -> np.ndarray:
+        """Exact weight differences ``w_i - w_j``: int64 array of shape (dim, dim, rank)."""
+        w = self.index_weights()
+        return w[:, None, :] - w[None, :, :]
 
 
 def decompose(w: WeightData) -> WeightDecomposition:
@@ -210,8 +208,7 @@ def commutant_contains(d: WeightDecomposition, h, tol: float = DEFAULT_TOL) -> b
     h = as_matrix(h, square=True)
     if h.shape[0] != d.dim:
         raise DimensionMismatchError(f"matrix is {h.shape[0]}x{h.shape[0]}, grading has dim {d.dim}")
-    ids = d.block_ids()
-    off = h[ids[:, None] != ids[None, :]]
+    off = h[d.shifts().any(axis=-1)]
     return frob(off) <= scaled_tol(tol, frob(h))
 
 

@@ -7,12 +7,15 @@ here are contractual; loosening them is a behavior change, not a tweak.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import modulikit
 from modulikit import connection, jordan, linalg, quiver, weights
 from util import brute_cycles, cnormal, disk_invertible, rel_err
 
@@ -367,8 +370,11 @@ def test_criterion_08_cycle_enumeration_oracle():
 def test_criterion_09_cli_determinism():
     t0 = time.perf_counter()
     cmd = [sys.executable, "-m", "modulikit", "selftest", "--seed", "42"]
-    first = subprocess.run(cmd, capture_output=True, timeout=55)
-    second = subprocess.run(cmd, capture_output=True, timeout=55)
+    # the child runs the package under test, also when only pytest's pythonpath finds it
+    src = str(Path(modulikit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    first = subprocess.run(cmd, capture_output=True, timeout=55, env=env)
+    second = subprocess.run(cmd, capture_output=True, timeout=55, env=env)
     elapsed = time.perf_counter() - t0
     ok = (
         first.returncode == 0

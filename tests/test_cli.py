@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,6 +335,24 @@ _SCALAR_1E200 = _scalar_rep_json(1e200, 1e200)
 
 
 _BOOL_STRING = {"rows": 2, "cols": 2, "entries": [[True, "1.5"]] + [[0.0, 0.0]] * 3}
+_PASS = json.loads((Path(__file__).parent / "golden" / "inputs" / "connection_pass.json").read_text())
+
+
+def _with(obj, keys, value):
+    """Deep copy of ``obj`` with ``value`` at the path ``keys``."""
+    out = json.loads(json.dumps(obj))
+    target = out
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return out
+
+
+def _labelled_scalar_rep(first, second):
+    obj = _scalar_rep_json(2.0, 3.0)
+    obj["arrows"][0]["label"], obj["arrows"][1]["label"] = first, second
+    obj["matrices"] = {str(first): obj["matrices"]["A1"], str(second): obj["matrices"]["B1"]}
+    return obj
 
 
 @pytest.mark.parametrize(
@@ -352,11 +371,26 @@ _BOOL_STRING = {"rows": 2, "cols": 2, "entries": [[True, "1.5"]] + [[0.0, 0.0]] 
         ("validate", {"weights": {"rank": 1, "weights": [0, 1]}, "A": _BOOL_STRING, "B": _ZERO2}, "A.entries[0][0]"),
         ("invariants", _SCALAR_1E200, "not finite"),
         ("moment", _SCALAR_1E200, "not finite"),
+        ("invariants", _labelled_scalar_rep(7, "7_op"), "arrows[0].label must be a string, got 7"),
+        ("invariants", _labelled_scalar_rep(None, "None_op"), "arrows[0].label must be a string, got None"),
+        ("invariants", _labelled_scalar_rep(True, "True_op"), "arrows[0].label must be a string, got True"),
+        ("invariants", _labelled_scalar_rep("A1", {}), "arrows[1].label must be a string, got {}"),
+        ("invariants", _with(_scalar_rep_json(2.0, 3.0), ["arrows", 1], {"tail": 1, "head": 0}), "arrows[1] needs tail, head, label"),
+        ("validate", _with(_PASS, ["B", "entries"], _PASS["B"]["entries"][:-1]), "B.entries: expected 16 entries, got 15"),
+        ("validate", _with(_PASS, ["A"], 5), "A must be a JSON object"),
+        ("validate", _with(_PASS, ["B"], {"rows": 4, "cols": 4}), "B needs rows, cols, entries"),
+        ("validate", _with(_PASS, ["A", "rows"], -4), "A.rows and A.cols must be nonnegative"),
+        ("validate", _with(_PASS, ["weights", "weights"], []), "weights.weights must be a nonempty list"),
+        ("decompose", {"rank": 1, "weights": []}, "weights must be a nonempty list"),
+        ("jordan-spectral", [1, 2], "matrix must be a JSON object"),
     ],
     ids=[
         "A_list", "B_list", "arrows", "deep-nesting", "weight-2**70", "weight-2**62",
         "entry-null", "entry-list", "entry-object", "entry-2**1100", "entry-bool-string",
         "invariants-overflow", "moment-overflow",
+        "label-int", "label-null", "label-bool", "label-object", "arrow-no-label",
+        "B-entry-missing", "A-not-object", "B-no-entries", "A-negative-rows",
+        "weights-empty", "decompose-weights-empty", "matrix-not-object",
     ],
 )
 def test_hostile_payloads_exit_2(tmp_path, capsys, command, payload, names):
@@ -366,6 +400,17 @@ def test_hostile_payloads_exit_2(tmp_path, capsys, command, payload, names):
     assert code == 2 and report is None
     assert err.startswith("error:") and err.count("\n") == 1
     assert names in err and "Traceback" not in err
+
+
+def test_cycle_search_past_its_budget_exits_2(tmp_path, capsys):
+    # about 2**40 / 40 words; the search stops after MAX_CYCLE_WORDS visits
+    dq = quiver.double(quiver.Quiver(dims=(1,), arrows=(quiver.Arrow(0, 0, "A1"),)))
+    rep = quiver.DoubleQuiverRep(quiver=dq, matrices={"A1": [[1.0]], "B1": [[1.0]]})
+    path = _write(tmp_path, "loop.json", jsonio.rep_to_json(rep))
+    code, report, err = _run(capsys, ["invariants", "--input", path, "--max-len", "40"])
+    assert code == 2 and report is None
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "max_len 40" in err and "Traceback" not in err
 
 
 def _loop_rep_json(diag):

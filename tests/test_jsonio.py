@@ -127,7 +127,8 @@ def _loop(label):
 def test_rep_round_trip():
     rng = np.random.default_rng(14)
     # a bare A pairs with B and any other label X with X_op, as double names them
-    for q in (quiver.chain_quiver(weights.chains(_decomp([0, 0, 1]))), _loop("X"), _loop("A")):
+    chain = quiver.chain_quiver(weights.chains(_decomp([0, 0, 1])))
+    for q in (chain, _loop("A1"), _loop("A"), _loop("X"), _loop("B1")):
         dq = quiver.double(q)
         rep = quiver.DoubleQuiverRep(
             quiver=dq,
@@ -135,8 +136,27 @@ def test_rep_round_trip():
         )
         back = jsonio.rep_from_json(json.loads(jsonio.dumps(jsonio.rep_to_json(rep))))
         assert quiver.same_quiver(back.quiver, rep.quiver)
+        assert back.quiver.pairs == rep.quiver.pairs
         for label in rep.matrices:
             assert np.array_equal(back.matrices[label], rep.matrices[label])
+
+
+def test_double_and_decoder_reject_the_same_ambiguous_pairing():
+    # doubling X and X_op_op adds X_op and X_op_op_op, so X_op and X_op_op
+    # would each be in two pairs; the decoder reads the same arrows the same way
+    q = quiver.Quiver(
+        dims=(1,), arrows=(quiver.Arrow(0, 0, "X"), quiver.Arrow(0, 0, "X_op_op"))
+    )
+    with pytest.raises(ValueError, match="exactly one pair"):
+        quiver.double(q)
+    labels = ("X", "X_op_op", "X_op", "X_op_op_op")
+    obj = {
+        "vertices": [1],
+        "arrows": [{"tail": 0, "head": 0, "label": label} for label in labels],
+        "matrices": {label: jsonio.matrix_to_json(np.eye(1)) for label in labels},
+    }
+    with pytest.raises(ValueError, match="exactly one pair"):
+        jsonio.rep_from_json(obj)
 
 
 def test_rep_requires_paired_labels():

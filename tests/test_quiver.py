@@ -92,9 +92,7 @@ def test_double_rejects_label_collision():
 
 def test_same_quiver_ignores_arrow_order():
     dq = _chain_double([0, 1])
-    reordered = quiver.DoubleQuiver(
-        dims=dq.dims, arrows=tuple(reversed(dq.arrows)), pairs=dq.pairs
-    )
+    reordered = quiver.DoubleQuiver(dims=dq.dims, arrows=tuple(reversed(dq.arrows)))
     assert quiver.same_quiver(dq, reordered)
     assert not quiver.same_quiver(dq, _chain_double([0, 1, 2]))
 
@@ -293,6 +291,15 @@ def test_enumerate_cycles_counts():
     assert necklaces == 2615
     assert len(quiver.enumerate_cycles(_loop_double(), 14)) == 2615
     assert len(quiver.enumerate_cycles(_chain_double(list(range(8))), 12)) == 599
+
+
+def test_enumerate_cycles_stops_past_its_word_budget():
+    # the loop double visits 236 315 words at length 20 and 447 186 at 21
+    assert quiver.MAX_CYCLE_WORDS == 2**18
+    necklaces = sum(sum(2 ** math.gcd(i, n) for i in range(n)) // n for n in range(1, 21))
+    assert len(quiver.enumerate_cycles(_loop_double(), 20)) == necklaces
+    with pytest.raises(ValueError, match="max_len 21"):
+        quiver.enumerate_cycles(_loop_double(), 21)
 
 
 def test_enumerate_cycles_walks_far_beyond_the_recursion_limit():

@@ -183,6 +183,15 @@ def test_f_of_rejects_off_circle_tau():
         weights.f_of(d, (1.0, 1.0))
 
 
+def test_shifts_are_exact_weight_differences():
+    ws = [(0, 2**61), (3, 1 - 2**61), (0, 2**61)]
+    s = weights.decompose(weights.WeightData.of(ws)).shifts()
+    assert s.shape == (3, 3, 2) and s.dtype == np.int64
+    for i, wi in enumerate(ws):
+        for j, wj in enumerate(ws):
+            assert [int(x) for x in s[i, j]] == [wi[0] - wj[0], wi[1] - wj[1]]
+
+
 # --- commutant -------------------------------------------------------------------
 
 
@@ -206,6 +215,16 @@ def test_commutant_accepts_block_diagonal():
         ix = list(block.indices)
         h[np.ix_(ix, ix)] = cnormal(rng, block.dim)
     assert weights.commutant_contains(d, h)
+
+
+def test_commutant_of_rank2_grading_joins_only_equal_weight_vectors():
+    # indices 0 and 2 share (0, 1); index 1 shares a first entry with them
+    d = weights.decompose(weights.WeightData.of([(0, 1), (0, 2), (0, 1)]))
+    h = np.eye(3, dtype=complex)
+    h[0, 2] = h[2, 0] = 1.0
+    assert weights.commutant_contains(d, h)
+    h[0, 1] = 1.0
+    assert not weights.commutant_contains(d, h)
 
 
 def test_commutant_contains_checks_dimension():
