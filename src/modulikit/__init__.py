@@ -8,10 +8,6 @@ from .connection import (
     FrameTuple,
     PurityResult,
     PurityWitness,
-    TorusWitness,
-    Witness,
-    check_stabilizer_sums,
-    check_torus_multirank,
     gauge,
     involution,
     is_hermitian,

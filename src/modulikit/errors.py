@@ -29,14 +29,6 @@ class NotInCommutantError(ModulikitError, ValueError):
     """Gauge matrix is not block diagonal for the weight grading."""
 
 
-class MissingWeightsError(ModulikitError, ValueError):
-    """Frame tuple carries no weight data."""
-
-
-class BadWitnessError(ModulikitError, ValueError):
-    """Stabilizer witness is malformed."""
-
-
 class CovarianceViolationError(ModulikitError, ValueError):
     """Connection data has entries outside the allowed weight-shift pattern."""
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .connection import ConnectionData, FrameTuple
 from .quiver import Arrow, DoubleQuiver, DoubleQuiverRep
-from .weights import WeightData, decompose
+from .weights import WeightData, WeightDecomposition, decompose
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -128,26 +128,34 @@ def weight_data_from_json(obj, at: str = "") -> WeightData:
     return WeightData(rank=rank, weights=tuple(vecs))
 
 
+def _weight_data(d: WeightDecomposition) -> WeightData:
+    return WeightData(rank=d.rank, weights=tuple(map(tuple, d.index_weights().tolist())))
+
+
 def connection_to_json(c: ConnectionData) -> dict:
-    w = WeightData(
-        rank=1,
-        weights=tuple((int(m),) for m in c.decomposition.index_weights()[:, 0]),
-    )
+    """The ``{weights, A, B}`` shape at rank 1, the frame-tuple shape otherwise."""
+    if c.rank != 1:
+        return frame_tuple_to_json(c)
     return {
-        "weights": weight_data_to_json(w),
-        "A": matrix_to_json(c.a),
-        "B": matrix_to_json(c.b),
+        "weights": weight_data_to_json(_weight_data(c.decomposition)),
+        "A": matrix_to_json(c.a_list[0]),
+        "B": matrix_to_json(c.b_list[0]),
     }
 
 
 def connection_from_json(obj) -> ConnectionData:
+    """Connection data: ``{weights, A, B}`` at rank 1, or a frame tuple with weights."""
     _require(isinstance(obj, dict), "connection data must be a JSON object")
+    if "A_list" in obj:
+        c = frame_tuple_from_json(obj)
+        _require(isinstance(c, ConnectionData), "connection data as a frame tuple needs weights")
+        return c
     _require(set(obj) >= {"weights", "A", "B"}, "connection data needs weights, A, B")
     w = weight_data_from_json(obj["weights"], "weights.")
     return ConnectionData(
         decomposition=decompose(w),
-        a=matrix_from_json(obj["A"], "A."),
-        b=matrix_from_json(obj["B"], "B."),
+        a_list=(matrix_from_json(obj["A"], "A."),),
+        b_list=(matrix_from_json(obj["B"], "B."),),
     )
 
 
@@ -157,8 +165,8 @@ def frame_tuple_to_json(t: FrameTuple) -> dict:
         "A_list": [matrix_to_json(a) for a in t.a_list],
         "B_list": [matrix_to_json(b) for b in t.b_list],
     }
-    if t.weights is not None:
-        out["weights"] = weight_data_to_json(t.weights)
+    if isinstance(t, ConnectionData):
+        out["weights"] = weight_data_to_json(_weight_data(t.decomposition))
     return out
 
 
@@ -167,6 +175,7 @@ def _matrix_list(value, path: str) -> tuple[np.ndarray, ...]:
 
 
 def frame_tuple_from_json(obj) -> FrameTuple:
+    """A frame tuple; with ``weights`` it is connection data over their grading."""
     _require(isinstance(obj, dict), "frame tuple must be a JSON object")
     _require(set(obj) >= {"rank", "A_list"}, "frame tuple needs rank and A_list")
     a_list = _matrix_list(obj["A_list"], "A_list")
@@ -174,10 +183,10 @@ def frame_tuple_from_json(obj) -> FrameTuple:
     b_list = None
     if obj.get("B_list") is not None:
         b_list = _matrix_list(obj["B_list"], "B_list")
-    weights = None
-    if obj.get("weights") is not None:
-        weights = weight_data_from_json(obj["weights"], "weights.")
-    return FrameTuple(a_list=a_list, b_list=b_list, weights=weights)
+    if obj.get("weights") is None:
+        return FrameTuple(a_list=a_list, b_list=b_list)
+    w = weight_data_from_json(obj["weights"], "weights.")
+    return ConnectionData(a_list=a_list, b_list=b_list, decomposition=decompose(w))
 
 
 def rep_to_json(rep: DoubleQuiverRep) -> dict:
@@ -211,9 +220,7 @@ def rep_from_json(obj) -> DoubleQuiverRep:
             f"arrows[{k}] needs tail, head, label",
         )
         tail, head = _int(entry["tail"], f"arrows[{k}].tail"), _int(entry["head"], f"arrows[{k}].head")
-        label = entry["label"]
-        _require(isinstance(label, str), f"arrows[{k}].label must be a string, got {label!r:.40}")
-        arrows.append(Arrow(tail=tail, head=head, label=label))
+        arrows.append(Arrow(tail=tail, head=head, label=entry["label"]))
     quiver = DoubleQuiver(dims=dims, arrows=tuple(arrows))
     mats = obj["matrices"]
     _require(isinstance(mats, dict), "matrices must be a JSON object")

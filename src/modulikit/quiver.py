@@ -53,6 +53,9 @@ def _check_arrows(dims: tuple[int, ...], arrows: tuple[Arrow, ...]) -> None:
     nv = len(dims)
     if any(d <= 0 for d in dims):
         raise ValueError("vertex dimensions must be positive")
+    for k, a in enumerate(arrows):
+        if not isinstance(a.label, str):
+            raise ValueError(f"arrows[{k}].label must be a string, got {a.label!r:.40}")
     labels = [a.label for a in arrows]
     if len(set(labels)) != len(labels):
         raise ValueError("arrow labels must be unique")
@@ -212,8 +215,8 @@ def from_connection(c) -> DoubleQuiverRep:
     ch = chains(c.decomposition)
     mats: dict[str, np.ndarray] = {}
     for k, _, _, lo, hi in _chain_layout(ch):
-        mats[f"A{k}"] = c.a[np.ix_(hi, lo)]
-        mats[f"B{k}"] = c.b[np.ix_(lo, hi)]
+        mats[f"A{k}"] = c.a_list[0][np.ix_(hi, lo)]
+        mats[f"B{k}"] = c.b_list[0][np.ix_(lo, hi)]
     return DoubleQuiverRep(quiver=double(chain_quiver(ch)), matrices=mats)
 
 

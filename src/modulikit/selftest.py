@@ -53,7 +53,7 @@ def _pattern_pair(rng, d):
 def _rand_connection(rng, n=None):
     d = _rand_decomposition(rng, n)
     a, b = _pattern_pair(rng, d)
-    return connection.ConnectionData(decomposition=d, a=a, b=b)
+    return connection.ConnectionData(decomposition=d, a_list=(a,), b_list=(b,))
 
 
 def _rand_chain_rep(rng):
@@ -241,8 +241,8 @@ def _prop_involution_order_2(rng, samples):
         twice = connection.involution(once)
         worst = max(worst, _pattern_max_violation(once))
         delta = max(
-            float(np.max(np.abs(twice.a - c.a))),
-            float(np.max(np.abs(twice.b - c.b))),
+            float(np.max(np.abs(twice.a_list[0] - c.a_list[0]))),
+            float(np.max(np.abs(twice.b_list[0] - c.b_list[0]))),
         )
         worst = max(worst, delta)
     return worst, 1e-14
@@ -255,8 +255,12 @@ def _prop_involution_gauge_compat(rng, samples):
         h = weights.sample_commutant(c.decomposition, seed=int(rng.integers(0, 2**32)))
         lhs = connection.involution(connection.gauge(c, h))
         rhs = connection.gauge(connection.involution(c), linalg.sharp(h))
-        scale = max(linalg.frob(lhs.a), linalg.frob(lhs.b), 1.0)
-        worst = max(worst, _rel(lhs.a - rhs.a, scale), _rel(lhs.b - rhs.b, scale))
+        scale = max(linalg.frob(lhs.a_list[0]), linalg.frob(lhs.b_list[0]), 1.0)
+        worst = max(
+            worst,
+            _rel(lhs.a_list[0] - rhs.a_list[0], scale),
+            _rel(lhs.b_list[0] - rhs.b_list[0], scale),
+        )
     return worst, 1e-10
 
 
@@ -308,11 +312,11 @@ def _prop_hermitian_iff_fixed(rng, samples):
         a, b = _pattern_pair(rng, d)
         if k % 2 == 0:
             b = -linalg.dagger(a)
-        c = connection.ConnectionData(decomposition=d, a=a, b=b)
+        c = connection.ConnectionData(decomposition=d, a_list=(a,), b_list=(b,))
         folded = connection.involution(c)
         fixed_dist = max(
-            _rel(folded.a - c.a, max(linalg.frob(c.a), 1.0)),
-            _rel(folded.b - c.b, max(linalg.frob(c.b), 1.0)),
+            _rel(folded.a_list[0] - c.a_list[0], max(linalg.frob(c.a_list[0]), 1.0)),
+            _rel(folded.b_list[0] - c.b_list[0], max(linalg.frob(c.b_list[0]), 1.0)),
         )
         if connection.is_hermitian(c) != (fixed_dist <= linalg.DEFAULT_TOL):
             bad += 1

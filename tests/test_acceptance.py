@@ -128,7 +128,7 @@ def test_criterion_03_covariance_structure():
         n = int(rng.integers(2, 9))
         d = _decomp([int(v) for v in rng.integers(-3, 4, n)])
         a, b = _shift_pair(rng, d)
-        c = connection.ConnectionData(decomposition=d, a=a, b=b)
+        c = connection.ConnectionData(decomposition=d, a_list=(a,), b_list=(b,))
         ok = ok and connection.validate_covariance(c, samples=32, tol=1e-10, seed=k).ok
 
         diff = d.index_weights()[:, 0][:, None] - d.index_weights()[:, 0][None, :]
@@ -136,7 +136,7 @@ def test_criterion_03_covariance_structure():
         i, j = forbidden[int(rng.integers(len(forbidden)))]
         bad = np.array(a)
         bad[i, j] += 0.5
-        spoiled = connection.ConnectionData(decomposition=d, a=bad, b=b)
+        spoiled = connection.ConnectionData(decomposition=d, a_list=(bad,), b_list=(b,))
         ok = ok and not connection.validate_covariance(spoiled, samples=32, tol=1e-10, seed=k).ok
     elapsed = time.perf_counter() - t0
     _stamp(
@@ -160,19 +160,19 @@ def test_criterion_04_involution_fixed_points():
         a, b = _shift_pair(rng, d)
         if k < 50:
             b = -linalg.dagger(a)
-        c = connection.ConnectionData(decomposition=d, a=a, b=b)
+        c = connection.ConnectionData(decomposition=d, a_list=(a,), b_list=(b,))
 
         cc = connection.involution(connection.involution(c))
-        ok = ok and np.array_equal(cc.a == 0, c.a == 0) and np.array_equal(cc.b == 0, c.b == 0)
-        scale = max(linalg.frob(c.a), linalg.frob(c.b), 1.0)
+        ok = ok and np.array_equal(cc.a_list[0] == 0, c.a_list[0] == 0) and np.array_equal(cc.b_list[0] == 0, c.b_list[0] == 0)
+        scale = max(linalg.frob(c.a_list[0]), linalg.frob(c.b_list[0]), 1.0)
         worst_double = max(
             worst_double,
-            max(linalg.frob(cc.a - c.a), linalg.frob(cc.b - c.b)) / scale,
+            max(linalg.frob(cc.a_list[0] - c.a_list[0]), linalg.frob(cc.b_list[0] - c.b_list[0])) / scale,
         )
 
         moved = connection.involution(c)
-        residual = max(linalg.frob(moved.a - c.a), linalg.frob(moved.b - c.b))
-        fixed = residual <= 1e-10 * max(linalg.frob(c.a), 1e-14)
+        residual = max(linalg.frob(moved.a_list[0] - c.a_list[0]), linalg.frob(moved.b_list[0] - c.b_list[0]))
+        fixed = residual <= 1e-10 * max(linalg.frob(c.a_list[0]), 1e-14)
         ok = ok and connection.is_hermitian(c) == fixed
         if k < 50:
             ok = ok and fixed

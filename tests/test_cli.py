@@ -23,7 +23,7 @@ def _decomp(vals):
 
 
 def _connection_json(vals, a, b):
-    c = connection.ConnectionData(decomposition=_decomp(vals), a=a, b=b)
+    c = connection.ConnectionData(decomposition=_decomp(vals), a_list=(a,), b_list=(b,))
     return jsonio.connection_to_json(c)
 
 
@@ -121,8 +121,19 @@ def test_involute_round_trip(tmp_path, capsys):
     code, report, _ = _run(capsys, ["involute", "--input", path])
     assert code == 0
     out = jsonio.connection_from_json(report["result"])
-    assert np.array_equal(out.a, np.zeros((2, 2)))
-    assert np.array_equal(out.b, -a.conj().T)
+    assert np.array_equal(out.a_list[0], np.zeros((2, 2)))
+    assert np.array_equal(out.b_list[0], -a.conj().T)
+
+
+def test_involute_rank2_round_trip(tmp_path, capsys):
+    golden = Path(__file__).parent / "golden" / "inputs" / "connection_rank2.json"
+    data = json.loads(golden.read_text(encoding="utf-8"))
+    once = _write(tmp_path, "once.json", data)
+    code, report, _ = _run(capsys, ["involute", "--input", once])
+    assert code == 0 and report["result"] != data
+    twice = _write(tmp_path, "twice.json", report["result"])
+    code, report, _ = _run(capsys, ["involute", "--input", twice])
+    assert code == 0 and report["result"] == data
 
 
 def test_hermitian_verdicts(tmp_path, capsys):
@@ -149,7 +160,7 @@ def test_gauge_needs_two_inputs(tmp_path, capsys):
     code, report, _ = _run(capsys, ["gauge", "--input", data, "--input", gauge])
     assert code == 0
     out = jsonio.connection_from_json(report["result"])
-    assert out.a[1, 0] == pytest.approx(3.0)
+    assert out.a_list[0][1, 0] == pytest.approx(3.0)
 
     code, _, err = _run(capsys, ["gauge", "--input", data])
     assert code == 2
@@ -246,7 +257,7 @@ def test_selftest_detects_broken_involution(capsys, monkeypatch):
     def broken(c):
         out = original(c)
         return modulikit.connection.ConnectionData(
-            decomposition=out.decomposition, a=2.0 * out.a, b=out.b
+            decomposition=out.decomposition, a_list=(2.0 * out.a_list[0],), b_list=out.b_list
         )
 
     monkeypatch.setattr(modulikit.connection, "involution", broken)
@@ -383,6 +394,7 @@ def _labelled_scalar_rep(first, second):
         ("validate", _with(_PASS, ["weights", "weights"], []), "weights.weights must be a nonempty list"),
         ("decompose", {"rank": 1, "weights": []}, "weights must be a nonempty list"),
         ("jordan-spectral", [1, 2], "matrix must be a JSON object"),
+        ("validate", {"rank": 1, "A_list": [_ONE]}, "connection data as a frame tuple needs weights"),
     ],
     ids=[
         "A_list", "B_list", "arrows", "deep-nesting", "weight-2**70", "weight-2**62",
@@ -391,6 +403,7 @@ def _labelled_scalar_rep(first, second):
         "label-int", "label-null", "label-bool", "label-object", "arrow-no-label",
         "B-entry-missing", "A-not-object", "B-no-entries", "A-negative-rows",
         "weights-empty", "decompose-weights-empty", "matrix-not-object",
+        "frame-tuple-no-weights",
     ],
 )
 def test_hostile_payloads_exit_2(tmp_path, capsys, command, payload, names):

@@ -35,6 +35,8 @@ CASES = (
     ("validate-fail", ["validate", "--input", "connection_fail.json"]),
     ("validate-seed5-tol", ["validate", "--input", "connection_pass.json", "--seed", "5", "--tol", "1e-8"]),
     ("validate-big-weights", ["validate", "--input", "connection_big_weights.json"]),
+    ("validate-rank2-pass", ["validate", "--input", "connection_rank2.json"]),
+    ("validate-rank2-fail", ["validate", "--input", "connection_rank2_swapped.json"]),
     ("pure-pure", ["pure", "--input", "frame_pure.json"]),
     ("pure-impure", ["pure", "--input", "frame_impure.json"]),
     ("involute", ["involute", "--input", "connection_pass.json"]),

@@ -80,17 +80,17 @@ def test_connection_round_trip():
     mask_up = (w[:, None] - w[None, :]) == 1
     a = np.where(mask_up, rng.standard_normal((4, 4)), 0.0).astype(complex)
     b = np.where(mask_up.T, rng.standard_normal((4, 4)), 0.0).astype(complex)
-    c = connection.ConnectionData(decomposition=d, a=a, b=b)
+    c = connection.ConnectionData(decomposition=d, a_list=(a,), b_list=(b,))
     back = jsonio.connection_from_json(json.loads(jsonio.dumps(jsonio.connection_to_json(c))))
-    assert np.array_equal(back.a, c.a)
-    assert np.array_equal(back.b, c.b)
+    assert np.array_equal(back.a_list[0], c.a_list[0])
+    assert np.array_equal(back.b_list[0], c.b_list[0])
     assert back.decomposition.blocks == c.decomposition.blocks
 
 
 def test_connection_rejects_missing_field():
     obj = jsonio.connection_to_json(
         connection.ConnectionData(
-            decomposition=_decomp([0, 1]), a=np.zeros((2, 2)), b=np.zeros((2, 2))
+            decomposition=_decomp([0, 1]), a_list=(np.zeros((2, 2)),), b_list=(np.zeros((2, 2)),)
         )
     )
     del obj["B"]
@@ -101,17 +101,21 @@ def test_connection_rejects_missing_field():
 def test_frame_tuple_round_trip_with_weights():
     rng = np.random.default_rng(13)
     w = weights.WeightData(rank=2, weights=((0, 0), (1, 0), (0, 1)))
-    t = connection.FrameTuple(
+    t = connection.ConnectionData(
         a_list=(rng.standard_normal((3, 3)), rng.standard_normal((3, 3))),
-        weights=w,
+        decomposition=weights.decompose(w),
     )
-    back = jsonio.frame_tuple_from_json(jsonio.frame_tuple_to_json(t))
-    assert back.rank == 2
-    assert back.weights == w
-    for m1, m2 in zip(back.a_list, t.a_list):
-        assert np.array_equal(m1, m2)
-    for b in back.b_list:
-        assert np.count_nonzero(b) == 0
+    obj = jsonio.frame_tuple_to_json(t)
+    assert obj["weights"] == jsonio.weight_data_to_json(w)
+    # connection data of rank 2 travels in the frame-tuple shape
+    assert jsonio.connection_to_json(t) == obj
+    for back in (jsonio.frame_tuple_from_json(obj), jsonio.connection_from_json(obj)):
+        assert back.rank == 2
+        assert back.decomposition == t.decomposition
+        for m1, m2 in zip(back.a_list, t.a_list):
+            assert np.array_equal(m1, m2)
+        for b in back.b_list:
+            assert np.count_nonzero(b) == 0
 
 
 def test_frame_tuple_rank_must_match():
@@ -208,7 +212,7 @@ def _scalar_rep_obj():
 
 
 def _zero_connection_obj():
-    c = connection.ConnectionData(decomposition=_decomp([0, 1]), a=np.zeros((2, 2)), b=np.zeros((2, 2)))
+    c = connection.ConnectionData(decomposition=_decomp([0, 1]), a_list=(np.zeros((2, 2)),), b_list=(np.zeros((2, 2)),))
     return json.loads(jsonio.dumps(jsonio.connection_to_json(c)))
 
 

@@ -90,6 +90,15 @@ def test_double_rejects_label_collision():
         quiver.double(q)
 
 
+@pytest.mark.parametrize("label", [7, None])
+def test_quiver_rejects_non_string_labels(label):
+    arrows = (quiver.Arrow(0, 0, "X"), quiver.Arrow(0, 0, label))
+    with pytest.raises(ValueError, match=rf"arrows\[1\]\.label must be a string, got {label!r}"):
+        quiver.Quiver(dims=(1,), arrows=arrows)
+    with pytest.raises(ValueError, match=r"arrows\[0\]\.label"):
+        quiver.double(quiver.Quiver(dims=(1,), arrows=arrows[1:]))
+
+
 def test_same_quiver_ignores_arrow_order():
     dq = _chain_double([0, 1])
     reordered = quiver.DoubleQuiver(dims=dq.dims, arrows=tuple(reversed(dq.arrows)))
@@ -119,7 +128,7 @@ def test_from_connection_extracts_blocks():
     b = np.zeros((4, 4), dtype=complex)
     a[2, 0], a[2, 1] = 5.0, 6.0
     b[0, 2], b[1, 2] = 7.0, 8.0
-    c = connection.ConnectionData(decomposition=d, a=a, b=b)
+    c = connection.ConnectionData(decomposition=d, a_list=(a,), b_list=(b,))
     rep = quiver.from_connection(c)
     assert rep.quiver.dims == (2, 1, 1)
     assert_allclose(rep.matrices["A1"], [[5.0, 6.0]], atol=0)
@@ -133,16 +142,16 @@ def test_connection_round_trip_is_exact():
     w = d.index_weights()[:, 0]
     a = np.where(w[:, None] - w[None, :] == 1, rng.standard_normal((n, n)), 0.0).astype(complex)
     b = np.where(w[:, None] - w[None, :] == -1, rng.standard_normal((n, n)), 0.0).astype(complex)
-    c = connection.ConnectionData(decomposition=d, a=a, b=b)
+    c = connection.ConnectionData(decomposition=d, a_list=(a,), b_list=(b,))
     rep = quiver.from_connection(c)
     a2, b2 = quiver.to_connection(rep, d)
-    assert np.array_equal(a2, c.a)
-    assert np.array_equal(b2, c.b)
+    assert np.array_equal(a2, c.a_list[0])
+    assert np.array_equal(b2, c.b_list[0])
 
 
 def test_from_connection_rejects_forbidden_entries():
     d = _decomp([0, 1])
-    c = connection.ConnectionData(decomposition=d, a=np.eye(2), b=np.zeros((2, 2)))
+    c = connection.ConnectionData(decomposition=d, a_list=(np.eye(2),), b_list=(np.zeros((2, 2)),))
     with pytest.raises(CovarianceViolationError):
         quiver.from_connection(c)
 
