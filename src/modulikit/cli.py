@@ -45,15 +45,18 @@ class Command:
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    name, seed = "--seed", value
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return 0
         try:
-            return int(env)
+            name, seed = SEED_ENV_VAR, int(env)
         except ValueError as exc:
             raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 0
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def _exit(ok: bool) -> int:

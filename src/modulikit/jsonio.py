@@ -32,7 +32,7 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [complex_to_json(z) for z in m.reshape(-1)],
+        "entries": np.stack([m.real.ravel(), m.imag.ravel()], 1).tolist(),
     }
 
 

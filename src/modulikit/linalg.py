@@ -10,10 +10,7 @@ All functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -26,9 +23,11 @@ DEFAULT_TOL = 1e-10
 # Absolute floor applied to relative tolerances so near-zero data is not
 # held to an impossible standard.
 ABS_FLOOR = 1e-14
-# A pivoted-LU factor is declared singular when its smallest pivot drops
-# below this fraction of the largest input entry.
-PIVOT_RTOL = 1e-12
+# With s = max|h_ij|, invert declares h singular unless its Frobenius
+# condition number ||h/s|| * ||s h^{-1}|| is at most 1 / SINGULAR_RTOL, so a
+# non-finite inverse fails too; the scaling by s keeps the test valid at any
+# entry scale.
+SINGULAR_RTOL = 1e-12
 # Floor for commutator-based purity thresholds.
 PURITY_FLOOR = 1e-12
 
@@ -61,29 +60,25 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def invert(h) -> np.ndarray:
-    """Invert a square matrix via pivoted LU.
-
-    Raises SingularMatrixError when the smallest pivot falls below
-    ``PIVOT_RTOL`` times the largest entry of ``h``.
-    """
+    """``np.linalg.inv(h)``, or SingularMatrixError by the ``SINGULAR_RTOL`` rule."""
     h = as_matrix(h, square=True)
-    n = h.shape[0]
-    if n == 0:
+    if h.shape[0] == 0:
         return h.copy()
-    biggest = float(np.max(np.abs(h)))
-    if biggest == 0.0:
+    s = float(np.max(np.abs(h)))
+    if s == 0.0:
         raise SingularMatrixError("matrix is zero")
-    with warnings.catch_warnings():
-        # exact singularity is detected below via the pivot threshold
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(h, check_finite=False)
-    smallest_pivot = float(np.min(np.abs(np.diag(lu))))
-    if smallest_pivot < PIVOT_RTOL * biggest:
+    try:
+        inv = np.linalg.inv(h)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is singular (exact zero pivot)") from None
+    with np.errstate(over="ignore"):
+        kappa = frob(h / s) * frob(s * inv)
+    if not kappa <= 1.0 / SINGULAR_RTOL:
         raise SingularMatrixError(
-            f"matrix is singular within tolerance (pivot {smallest_pivot:.3e} "
-            f"< {PIVOT_RTOL:.0e} * {biggest:.3e})"
+            f"matrix is singular within tolerance (condition number {kappa:.3e} "
+            f"> 1/{SINGULAR_RTOL:.0e})"
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=complex))
+    return inv
 
 
 def sharp(h) -> np.ndarray:

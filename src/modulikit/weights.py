@@ -39,9 +39,7 @@ def _normalize_weight(w, rank: int, k: int) -> tuple[int, ...]:
     else:
         vec = tuple(int(c) for c in w)
     if len(vec) != rank:
-        raise DimensionMismatchError(
-            f"weight vector {vec} has length {len(vec)}, expected rank {rank}"
-        )
+        raise DimensionMismatchError(f"weights[{k}] has length {len(vec)}, expected rank {rank}")
     if any(abs(c) >= WEIGHT_BOUND for c in vec):
         raise ValueError(f"weights[{k}] = {vec} is out of range: every entry needs |w| < 2**62")
     return vec

@@ -250,6 +250,13 @@ def test_selftest_seed_env_fallback(capsys, monkeypatch):
     assert code == 2 and "error:" in err
 
 
+def test_negative_seed_in_the_environment_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "-4")
+    code, report, err = _run(capsys, ["selftest"])
+    assert code == 2 and report is None
+    assert err == f"error: {cli.SEED_ENV_VAR} must be >= 0, got -4\n"
+
+
 def test_selftest_detects_broken_involution(capsys, monkeypatch):
     # mutate a checked operation; the property suite must notice and exit 1
     original = modulikit.connection.involution
@@ -310,6 +317,8 @@ def test_reports_always_carry_contract_keys(tmp_path, capsys):
         ("validate", "--tol", "0"),
         ("invariants", "--max-len", "-3"),
         ("invariants", "--max-len", "0"),
+        ("validate", "--seed", "-5"),
+        ("selftest", "--seed", "-1"),
     ],
 )
 def test_out_of_range_arguments_exit_2(tmp_path, capsys, command, flag, value):
@@ -319,8 +328,10 @@ def test_out_of_range_arguments_exit_2(tmp_path, capsys, command, flag, value):
         "validate": _connection_json([0, 1], a, np.zeros((2, 2))),
         "invariants": _scalar_rep_json(2.0, 3.0),
     }
-    path = _write(tmp_path, "in.json", inputs[command])
-    code, report, err = _run(capsys, [command, "--input", path, flag, value])
+    argv = [command, flag, value]
+    if command in inputs:
+        argv += ["--input", _write(tmp_path, "in.json", inputs[command])]
+    code, report, err = _run(capsys, argv)
     assert code == 2 and report is None
     assert err.startswith("error:") and err.count("\n") == 1
     assert flag in err and "Traceback" not in err
@@ -374,6 +385,8 @@ def _labelled_scalar_rep(first, second):
         ("invariants", {"vertices": [1, 1], "arrows": 5, "matrices": {}}, "arrows"),
         ("validate", "[" * 100_000, "nested too deeply"),
         ("decompose", {"rank": 1, "weights": [0, 2**70]}, "weights[1]"),
+        ("decompose", {"rank": 2, "weights": [[1, 2], [3]]}, "weights[1] has length 1, expected rank 2"),
+        ("decompose", {"rank": 2, "weights": [1, 2]}, "weights[0] has length 1, expected rank 2"),
         ("validate", {"weights": {"rank": 1, "weights": [0, 2**62]}, "A": _ZERO2, "B": _ZERO2}, "weights[1]"),
         ("jordan-spectral", {"rows": 1, "cols": 1, "entries": [[None, 0]]}, "entries[0][0]"),
         ("jordan-spectral", {"rows": 1, "cols": 1, "entries": [[[], 0]]}, "entries[0][0]"),
@@ -397,7 +410,8 @@ def _labelled_scalar_rep(first, second):
         ("validate", {"rank": 1, "A_list": [_ONE]}, "connection data as a frame tuple needs weights"),
     ],
     ids=[
-        "A_list", "B_list", "arrows", "deep-nesting", "weight-2**70", "weight-2**62",
+        "A_list", "B_list", "arrows", "deep-nesting", "weight-2**70", "weight-short",
+        "weights-scalar", "weight-2**62",
         "entry-null", "entry-list", "entry-object", "entry-2**1100", "entry-bool-string",
         "invariants-overflow", "moment-overflow",
         "label-int", "label-null", "label-bool", "label-object", "arrow-no-label",

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -127,14 +128,23 @@ def test_lie_sharp_preserves_brackets(seed, n):
     assert rel_err(lhs - rhs, np.linalg.norm(lhs)) <= 1e-12
 
 
+def _expm_taylor(a):
+    """Five-term Taylor polynomial of exp(a); at |a| ~ FD_STEP it is off by < 1e-20."""
+    term = out = np.eye(a.shape[0], dtype=complex)
+    for k in range(1, 5):
+        term = term @ a / k
+        out = out + term
+    return out
+
+
 def test_lie_sharp_matches_finite_difference_of_sharp():
     # independent oracle: central difference of t -> sharp(exp(tX)) at t = 0
     rng = np.random.default_rng(SEED + 2)
     for _ in range(10):
         n = int(rng.integers(2, 5))
         x = cnormal(rng, n)
-        plus = linalg.sharp(scipy.linalg.expm(FD_STEP * x))
-        minus = linalg.sharp(scipy.linalg.expm(-FD_STEP * x))
+        plus = linalg.sharp(_expm_taylor(FD_STEP * x))
+        minus = linalg.sharp(_expm_taylor(-FD_STEP * x))
         fd = (plus - minus) / (2.0 * FD_STEP)
         assert np.linalg.norm(fd - linalg.lie_sharp(x)) < FD_TOL
 
@@ -214,6 +224,29 @@ def test_invert_matches_numpy_on_well_conditioned_input():
     rng = np.random.default_rng(SEED + 5)
     h = well_conditioned(rng, 5)
     assert_allclose(linalg.invert(h), np.linalg.inv(h), atol=1e-12)
+
+
+def test_invert_singularity_threshold_is_the_condition_number():
+    # diag(1, d) has Frobenius condition number about 1/d: 5e11 passes, 2e12 fails
+    linalg.invert(np.diag([1.0, 2e-12]))
+    with pytest.raises(SingularMatrixError):
+        linalg.invert(np.diag([1.0, 5e-13]))
+    # both LU pivots are 1, but the condition number is about 4e12
+    with pytest.raises(SingularMatrixError):
+        linalg.invert(np.array([[1.0, 2e6], [0.0, 1.0]]))
+    # s * h^{-1} overflows to inf here: still singular, and no warning
+    with warnings.catch_warnings(), pytest.raises(SingularMatrixError):
+        warnings.simplefilter("error")
+        linalg.invert(np.diag([1e10, 1e-300]))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+def test_invert_is_scale_free(scale):
+    h = well_conditioned(np.random.default_rng(SEED + 6), 4) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv = linalg.invert(h)
+    assert rel_err(h @ inv - np.eye(4), np.linalg.norm(np.eye(4))) <= 1e-12
 
 
 # --- helpers ------------------------------------------------------------------
