@@ -18,7 +18,6 @@ from .jordan import (
     ConstantField,
     QuadraticField,
     SpectralDecomposition,
-    TripleSpace,
     are_orthogonal,
     field_bracket,
     is_tripotent,

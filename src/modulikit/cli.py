@@ -179,8 +179,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error:`` line and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modulikit",
         description="Weight gradings, covariant connection data, chain-quiver invariants, "
         "and Jordan triple spectral tools.",

@@ -21,15 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NotInCommutantError
-from .linalg import (
-    ABS_FLOOR,
-    DEFAULT_TOL,
-    PURITY_FLOOR,
-    as_matrix,
-    dagger,
-    frob,
-    invert,
-)
+from .linalg import DEFAULT_TOL, as_matrix, dagger, frob, invert, relative
 from .weights import WeightDecomposition, commutant_contains
 
 # Number of sampled torus elements used by the covariance checks.
@@ -208,7 +200,7 @@ def validate_covariance(
     for k, ((_, m, _), s, ix) in enumerate(zip(entries, support, owned)):
         mass = np.bincount(ix, weights=np.abs(m[s]) ** 2, minlength=len(keys))
         off_target = np.abs(phase - phase[:, target[k], None]) ** 2
-        res[:, k] = np.sqrt(off_target @ mass) / max(frob(m), ABS_FLOOR)
+        res[:, k] = relative(np.sqrt(off_target @ mass), frob(m))
     violations = found + [
         Violation(
             check=f"sampled:{entries[k][0]}",
@@ -216,7 +208,7 @@ def validate_covariance(
             detail=f"sample {s}, tau="
             + _vector([f"{complex(z):.6f}" for z in np.exp(1j * angles[s])]),
         )
-        for s, k in np.argwhere(res > tol)
+        for s, k in np.argwhere(~(res <= tol))
     ]
     return CheckReport(
         ok=not violations,
@@ -230,8 +222,9 @@ def validate_covariance(
 def is_pure(t: FrameTuple, tol: float = DEFAULT_TOL) -> PurityResult:
     """Decide purity: all raising values commute and all lowering values commute.
 
-    The threshold for a pair is ``tol`` times the product of the operand
-    norms, floored at ``PURITY_FLOOR``.  Rank-1 tuples are always pure.
+    A pair commutes when its commutator norm relative to the product of
+    the operand norms is at most ``tol``; the witness reports ``tol`` times
+    that product as its threshold.  Rank-1 tuples are always pure.
     On failure the first offending pair (1-based, A side scanned first)
     is returned with its commutator norm.
     """
@@ -240,8 +233,7 @@ def is_pure(t: FrameTuple, tol: float = DEFAULT_TOL) -> PurityResult:
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 comm = frob(mats[i] @ mats[j] - mats[j] @ mats[i])
-                threshold = max(tol * norms[i] * norms[j], PURITY_FLOOR)
-                if comm > threshold:
+                if not relative(comm, norms[i] * norms[j]) <= tol:
                     return PurityResult(
                         pure=False,
                         witness=PurityWitness(
@@ -249,7 +241,7 @@ def is_pure(t: FrameTuple, tol: float = DEFAULT_TOL) -> PurityResult:
                             i=i + 1,
                             j=j + 1,
                             commutator_norm=float(comm),
-                            threshold=float(threshold),
+                            threshold=float(tol * norms[i] * norms[j]),
                         ),
                     )
     return PurityResult(pure=True)
@@ -271,7 +263,7 @@ def involution(c: ConnectionData) -> ConnectionData:
 def is_hermitian(c: ConnectionData, tol: float = DEFAULT_TOL) -> bool:
     """True when every ``B_i = -A_i^*`` within tolerance, i.e. c is an involution fixed point."""
     return all(
-        frob(b + dagger(a)) <= tol * max(frob(a), ABS_FLOOR) for a, b in zip(c.a_list, c.b_list)
+        relative(frob(b + dagger(a)), frob(a)) <= tol for a, b in zip(c.a_list, c.b_list)
     )
 
 

@@ -19,31 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotTripotentError
-from .linalg import DEFAULT_TOL, ABS_FLOOR, as_matrix, dagger, frob, is_unitary
+from .linalg import DEFAULT_TOL, as_matrix, dagger, frob, is_unitary, relative
 
 # Unitarity slack accepted on spectral frames.
 FRAME_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class TripleSpace:
-    """The rectangular matrix space C^{p x q}."""
-
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise ValueError("triple space needs positive dimensions")
-
-    @property
-    def rank(self) -> int:
-        return min(self.p, self.q)
-
-    @classmethod
-    def of(cls, z) -> "TripleSpace":
-        z = as_matrix(z)
-        return cls(p=z.shape[0], q=z.shape[1])
 
 
 def _same_shape(*mats: np.ndarray) -> None:
@@ -65,7 +44,7 @@ def triple_product(x, y, z) -> np.ndarray:
 def is_tripotent(e, tol: float = DEFAULT_TOL) -> bool:
     """True when ``{e; e; e} = e`` within tolerance (relative to ``|e|``)."""
     e = as_matrix(e)
-    return frob(triple_product(e, e, e) - e) <= tol * max(frob(e), ABS_FLOOR)
+    return relative(frob(triple_product(e, e, e) - e), frob(e)) <= tol
 
 
 def are_orthogonal(e1, e2, tol: float = DEFAULT_TOL) -> bool:

@@ -125,7 +125,11 @@ def weight_data_from_json(obj, at: str = "") -> WeightData:
             vecs.append(tuple(_int(c, f"{at}weights[{k}][{j}]") for j, c in enumerate(w)))
         else:
             vecs.append((_int(w, f"{at}weights[{k}]"),))
-    return WeightData(rank=rank, weights=tuple(vecs))
+    try:
+        return WeightData(rank=rank, weights=tuple(vecs))
+    except ValueError as exc:
+        # WeightData names its fields (rank, weights[k]) relative to itself
+        raise type(exc)(f"{at}{exc}") from None
 
 
 def _weight_data(d: WeightDecomposition) -> WeightData:

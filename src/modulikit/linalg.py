@@ -5,10 +5,18 @@ GL_N(C) whose fixed points are the unitary matrices, its Lie-algebra
 differential ``X -> -X^*``, commutators, hermitian square roots, and the
 norm/tolerance conventions every other module builds on.
 
+Every tolerance verdict in the package reads ``relative(measure, scale)
+<= tol``: a measured defect divided by the size of the data it was
+measured on.  Both sides scale alike, so multiplying the data by s > 0
+changes no verdict.  ``ABS_FLOOR`` only keeps a zero scale from dividing
+by zero.
+
 All functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -20,16 +28,14 @@ from .errors import (
 
 # Default relative tolerance for pass/fail decisions.
 DEFAULT_TOL = 1e-10
-# Absolute floor applied to relative tolerances so near-zero data is not
-# held to an impossible standard.
-ABS_FLOOR = 1e-14
+# Least scale ``relative`` divides by: the smallest normal double, so only a
+# zero (or subnormal) scale is floored; roundoff itself is relative.
+ABS_FLOOR = sys.float_info.min
 # With s = max|h_ij|, invert declares h singular unless its Frobenius
 # condition number ||h/s|| * ||s h^{-1}|| is at most 1 / SINGULAR_RTOL, so a
 # non-finite inverse fails too; the scaling by s keeps the test valid at any
 # entry scale.
 SINGULAR_RTOL = 1e-12
-# Floor for commutator-based purity thresholds.
-PURITY_FLOOR = 1e-12
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
@@ -49,9 +55,12 @@ def frob(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def scaled_tol(tol: float, scale: float) -> float:
-    """Relative tolerance against a Frobenius-norm scale, with absolute floor."""
-    return max(tol * scale, ABS_FLOOR)
+def relative(measure, scale: float):
+    """``measure / scale``, the quantity every verdict compares with ``tol``.
+
+    ``scale`` is floored at ``ABS_FLOOR`` so zero data divides safely.
+    """
+    return measure / max(scale, ABS_FLOOR)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -113,18 +122,18 @@ def hermitian_sqrt(k, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     The input is symmetrized before the eigendecomposition;
     NotPositiveDefiniteError is raised when ``k`` is not hermitian within
-    tolerance or has an eigenvalue at or below the tolerance scale.
+    tolerance or its least eigenvalue relative to ``|k|`` is at most ``tol``.
 
     Since ``h`` is hermitian, ``h^{-1} = sharp(h)``, so ``k`` factors as
     ``h * sharp(h)^{-1}``.
     """
     k = as_matrix(k, square=True)
     scale = frob(k)
-    if frob(k - dagger(k)) > scaled_tol(tol, scale):
+    if not relative(frob(k - dagger(k)), scale) <= tol:
         raise NotPositiveDefiniteError("input is not hermitian within tolerance")
     sym = (k + dagger(k)) / 2.0
     evals, vecs = np.linalg.eigh(sym)
-    if evals.size == 0 or float(evals.min()) <= scaled_tol(tol, scale):
+    if evals.size == 0 or relative(float(evals.min()), scale) <= tol:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite within tolerance (min eigenvalue "
             f"{float(evals.min()) if evals.size else 0.0:.3e})"

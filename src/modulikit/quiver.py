@@ -29,7 +29,7 @@ from .errors import (
     DimensionMismatchError,
     QuiverMismatchError,
 )
-from .linalg import DEFAULT_TOL, as_matrix, invert
+from .linalg import DEFAULT_TOL, as_matrix, invert, relative
 from .weights import ChainDecomposition, chains
 
 MOMENT_CONVENTIONS = ("paper", "standard")
@@ -399,7 +399,7 @@ def equivalence_certificate(
         max_len = default_max_len(r1)
     for word in enumerate_cycles(r1.quiver, max_len):
         t1, t2 = cycle_trace(r1, word), cycle_trace(r2, word)
-        if abs(t1 - t2) > tol * max(abs(t1), abs(t2), 1.0):
+        if not relative(abs(t1 - t2), max(abs(t1), abs(t2), 1.0)) <= tol:
             return EquivalenceCertificate(
                 verdict="distinct",
                 max_len=max_len,

@@ -33,7 +33,7 @@ def _invertible(rng, n, bound=1e3):
 
 
 def _rel(diff, scale):
-    return linalg.frob(diff) / max(scale, linalg.ABS_FLOOR)
+    return linalg.relative(linalg.frob(diff), scale)
 
 
 def _rand_decomposition(rng, n=None, lo=-3, hi=3):

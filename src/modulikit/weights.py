@@ -21,7 +21,7 @@ from .errors import (
     NotUnitModulusError,
     RankNotOneError,
 )
-from .linalg import DEFAULT_TOL, as_matrix, frob, scaled_tol
+from .linalg import DEFAULT_TOL, as_matrix, frob, relative
 
 # |tau| must sit on the unit circle within this absolute slack.
 UNIT_MODULUS_TOL = 1e-12
@@ -55,7 +55,7 @@ class WeightData:
     def __post_init__(self) -> None:
         rank = int(self.rank)
         if rank < 1:
-            raise ValueError("torus rank must be positive")
+            raise ValueError(f"rank must be positive, got {rank}")
         weights = tuple(_normalize_weight(w, rank, k) for k, w in enumerate(self.weights))
         if not weights:
             raise ValueError("weight data needs at least one basis index")
@@ -135,11 +135,6 @@ class Chain:
     def dims(self) -> tuple[int, ...]:
         return tuple(len(ix) for ix in self.indices)
 
-    @property
-    def length(self) -> int:
-        """Number of arrows in the associated chain quiver (levels minus one)."""
-        return len(self.indices) - 1
-
 
 @dataclass(frozen=True)
 class ChainDecomposition:
@@ -207,7 +202,7 @@ def commutant_contains(d: WeightDecomposition, h, tol: float = DEFAULT_TOL) -> b
     if h.shape[0] != d.dim:
         raise DimensionMismatchError(f"matrix is {h.shape[0]}x{h.shape[0]}, grading has dim {d.dim}")
     off = h[d.shifts().any(axis=-1)]
-    return frob(off) <= scaled_tol(tol, frob(h))
+    return relative(frob(off), frob(h)) <= tol
 
 
 def commutant_dim(d: WeightDecomposition) -> int:

@@ -111,6 +111,18 @@ def test_pure_exit_codes(tmp_path, capsys):
     assert (report["witness"]["i"], report["witness"]["j"]) == (1, 2)
 
 
+def test_pure_verdict_holds_at_small_scale(tmp_path, capsys):
+    # the impure pair of test_pure_exit_codes times 1e-7: the commutator is
+    # 1e-14, but relative to the operand norms it is as large as at scale 1
+    m1, m2 = np.zeros((2, 2)), np.zeros((2, 2))
+    m1[0, 1] = m2[1, 0] = 1e-7
+    impure = {"rank": 2, "A_list": [jsonio.matrix_to_json(m1), jsonio.matrix_to_json(m2)]}
+    path = _write(tmp_path, "t.json", impure)
+    code, report, _ = _run(capsys, ["pure", "--input", path])
+    assert code == 1 and report["result"] is False
+    assert (report["witness"]["i"], report["witness"]["j"]) == (1, 2)
+
+
 # --- involute / hermitian ---------------------------------------------------------
 
 
@@ -165,6 +177,18 @@ def test_gauge_needs_two_inputs(tmp_path, capsys):
     code, _, err = _run(capsys, ["gauge", "--input", data])
     assert code == 2
     assert "error:" in err
+
+
+def test_gauge_off_block_at_small_scale_exits_2(tmp_path, capsys):
+    # every entry of the anti-diagonal J is off-block for weights [0, 0, 1, 1],
+    # so h = s (I + 100 J) is far from the centralizer at every s > 0
+    zero = np.zeros((4, 4))
+    data = _write(tmp_path, "c.json", _connection_json([0, 0, 1, 1], zero, zero))
+    h = 1e-20 * (np.eye(4) + 100 * np.fliplr(np.eye(4)))
+    gauge = _write(tmp_path, "g.json", jsonio.matrix_to_json(h))
+    code, report, err = _run(capsys, ["gauge", "--input", data, "--input", gauge])
+    assert code == 2 and report is None
+    assert err == "error: gauge matrix is not block diagonal for the grading\n"
 
 
 # --- invariants / equiv / moment ----------------------------------------------------
@@ -302,6 +326,32 @@ def test_usage_error_exits_nonzero(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["validate"], "error: modulikit validate: the following arguments are required: --input"),
+        (["validate", "--input", "c.json", "--tol", "abc"], "error: modulikit validate: argument --tol"),
+        (["frobnicate"], "error: modulikit: argument command: invalid choice: 'frobnicate'"),
+        (["decompose", "--input", "w.json", "--bogus"], "error: modulikit: unrecognized arguments: --bogus"),
+    ],
+    ids=["missing-input", "tol-abc", "unknown-command", "unknown-flag"],
+)
+def test_usage_errors_are_one_line_exit_2(capsys, argv, names):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(names) and captured.err.count("\n") == 1
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "-h"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: modulikit validate")
+
+
 def test_reports_always_carry_contract_keys(tmp_path, capsys):
     path = _write(tmp_path, "w.json", {"rank": 1, "weights": [0, 1]})
     _, report, _ = _run(capsys, ["decompose", "--input", path])
@@ -388,6 +438,12 @@ def _labelled_scalar_rep(first, second):
         ("decompose", {"rank": 2, "weights": [[1, 2], [3]]}, "weights[1] has length 1, expected rank 2"),
         ("decompose", {"rank": 2, "weights": [1, 2]}, "weights[0] has length 1, expected rank 2"),
         ("validate", {"weights": {"rank": 1, "weights": [0, 2**62]}, "A": _ZERO2, "B": _ZERO2}, "weights[1]"),
+        ("validate", {"weights": {"rank": 1, "weights": [0, [1, 2]]}, "A": _ZERO2, "B": _ZERO2},
+         "error: weights.weights[1] has length 2, expected rank 1\n"),
+        ("validate", {"weights": {"rank": 1, "weights": [0, 2**62]}, "A": _ZERO2, "B": _ZERO2},
+         "error: weights.weights[1] = (4611686018427387904,) is out of range"),
+        ("decompose", {"rank": 1, "weights": [0, [1, 2]]}, "error: weights[1] has length 2, expected rank 1\n"),
+        ("validate", _with(_PASS, ["weights", "rank"], 0), "error: weights.rank must be positive, got 0\n"),
         ("jordan-spectral", {"rows": 1, "cols": 1, "entries": [[None, 0]]}, "entries[0][0]"),
         ("jordan-spectral", {"rows": 1, "cols": 1, "entries": [[[], 0]]}, "entries[0][0]"),
         ("jordan-spectral", {"rows": 1, "cols": 1, "entries": [[{}, 0]]}, "entries[0][0]"),
@@ -411,7 +467,8 @@ def _labelled_scalar_rep(first, second):
     ],
     ids=[
         "A_list", "B_list", "arrows", "deep-nesting", "weight-2**70", "weight-short",
-        "weights-scalar", "weight-2**62",
+        "weights-scalar", "weight-2**62", "nested-weight-long", "nested-weight-2**62", "decompose-weight-long",
+        "nested-rank-0",
         "entry-null", "entry-list", "entry-object", "entry-2**1100", "entry-bool-string",
         "invariants-overflow", "moment-overflow",
         "label-int", "label-null", "label-bool", "label-object", "arrow-no-label",
@@ -447,8 +504,8 @@ def _loop_rep_json(diag):
 
 
 def test_equiv_with_an_overflowing_trace_exits_2(tmp_path, capsys):
-    # tr(A1 A1) is inf on the left and 2e200 on the right: inf - 2e200 never
-    # exceeds tol * inf, so only the finiteness check stops a false verdict
+    # tr(A1 A1) is inf on the left and 2e200 on the right: their difference
+    # relative to inf is nan, so only the finiteness check gives an answer
     left = _write(tmp_path, "l.json", _loop_rep_json([1e200, -1e200]))
     right = _write(tmp_path, "r.json", _loop_rep_json([1e100, -1e100]))
     code, report, err = _run(capsys, ["equiv", "--input", left, "--input", right, "--max-len", "2"])

@@ -10,6 +10,7 @@ from modulikit import connection, linalg, weights
 from modulikit.errors import (
     DimensionMismatchError,
     NotInCommutantError,
+    NotPositiveDefiniteError,
     SingularMatrixError,
 )
 from util import cnormal, rel_err, well_conditioned
@@ -314,6 +315,63 @@ def test_gauge_commutes_with_involution_through_sharp():
     rhs = connection.gauge(connection.involution(c), linalg.sharp(h))
     assert rel_err(lhs.a_list[0] - rhs.a_list[0], max(linalg.frob(rhs.a_list[0]), 1.0)) <= 1e-9
     assert rel_err(lhs.b_list[0] - rhs.b_list[0], max(linalg.frob(rhs.b_list[0]), 1.0)) <= 1e-9
+
+
+# --- tolerance rule ------------------------------------------------------------------
+
+
+def _has_sqrt(k):
+    try:
+        linalg.hermitian_sqrt(k)
+    except NotPositiveDefiniteError:
+        return False
+    return True
+
+
+def _verdicts(s):
+    """Homogeneous verdicts on fixed data multiplied by ``s``: the same at every s > 0."""
+    m = well_conditioned(np.random.default_rng(SEED + 20), 4)
+    d = _decomp([0, 0, 1, 1])
+    flip = np.fliplr(np.eye(4))
+    block = np.where(d.shifts().any(axis=-1), 0, m)
+    a = (1.0 + 2.0j) * _e(2, 1, 0)
+    return {
+        "is_pure": [
+            connection.is_pure(connection.FrameTuple(a_list=(s * x, s * y))).pure
+            for x, y in [(_e(2, 0, 1), _e(2, 1, 0)), (m, m @ m)]
+        ],
+        "commutant_contains": [
+            weights.commutant_contains(d, s * h)
+            for h in (np.eye(4) + 100 * flip, block, block + 1e-12 * flip)
+        ],
+        "hermitian_sqrt": [
+            _has_sqrt(s * k)
+            for k in (
+                np.diag([1.0, 2.0, 3.0]),
+                np.diag([1.0, -2.0, 3.0]),
+                np.triu(np.ones((2, 2))),
+                m @ linalg.dagger(m),
+            )
+        ],
+        "is_hermitian": [
+            connection.is_hermitian(
+                connection.ConnectionData(decomposition=_decomp([0, 1]), a_list=(s * a,), b_list=(s * b,))
+            )
+            for b in (-linalg.dagger(a), linalg.dagger(a))
+        ],
+    }
+
+
+@pytest.mark.parametrize("s", [1e-20, 1e-7, 1e7, 1e20])
+def test_verdicts_are_scale_free(s):
+    expected = {
+        "is_pure": [False, True],
+        "commutant_contains": [False, True, True],
+        "hermitian_sqrt": [True, False, False, True],
+        "is_hermitian": [True, False],
+    }
+    assert _verdicts(1.0) == expected
+    assert _verdicts(s) == expected
 
 
 # --- rank-2 torus covariance -------------------------------------------------------------

@@ -72,13 +72,6 @@ def test_triple_product_shape_mismatch():
         jordan.triple_product(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
 
 
-def test_triple_space_of():
-    s = jordan.TripleSpace.of(np.zeros((3, 5)))
-    assert (s.p, s.q, s.rank) == (3, 5, 3)
-    with pytest.raises(ValueError):
-        jordan.TripleSpace(p=0, q=2)
-
-
 # --- tripotents -------------------------------------------------------------------
 
 

@@ -114,7 +114,6 @@ def test_chains_consecutive_is_one_chain():
     ch = weights.chains(d)
     assert len(ch.chains) == 1
     assert ch.chains[0].dims == (1, 1, 1)
-    assert ch.chains[0].length == 2
 
 
 def test_chains_require_rank_one():
