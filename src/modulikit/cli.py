@@ -212,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="moment map convention",
         )
         p.add_argument("--seed", type=int, default=None, help=f"PRNG seed (default {SEED_ENV_VAR} or 0)")
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
@@ -235,7 +236,10 @@ def _decode_inputs(args, cmd: Command) -> list:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # name the subcommand whose options were misspelt
+        args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     cmd = COMMANDS[args.command]
     try:
         # an overflow surfaces below as a non-finite result, not as warnings

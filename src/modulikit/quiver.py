@@ -20,6 +20,8 @@ paths, one representative per rotation class of the arrow-label word.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +37,9 @@ from .weights import ChainDecomposition, chains
 MOMENT_CONVENTIONS = ("paper", "standard")
 # Cap applied to the default cycle length min(N^2, MAX_LEN_CAP).
 MAX_LEN_CAP = 12
-# Budget of words the cycle search may visit (pop from its stack) before it
-# gives up; the loop double reaches it between max_len 20 and 21.
+# Budget of words the cycle search may visit (pop from its stack and keep as
+# closable within max_len) before it gives up; the loop double reaches it
+# between max_len 20 and 21.
 MAX_CYCLE_WORDS = 2**18
 
 
@@ -277,41 +280,113 @@ def canonical_rotation(word: tuple[str, ...]) -> tuple[str, ...]:
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
+def _shortlex(word: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    return len(word), word
+
+
+def _hops_back(dq: DoubleQuiver) -> list[list[float]]:
+    """``back[s][v]``: fewest arrows on a walk from vertex ``v`` to ``s``, inf if there is none."""
+    nv = len(dq.dims)
+    into = [[a.tail for a in dq.arrows if a.head == v] for v in range(nv)]
+    back = []
+    for s in range(nv):
+        dist, frontier = [math.inf] * nv, [s]
+        dist[s] = 0
+        while frontier:
+            v = frontier.pop(0)
+            for u in into[v]:
+                if dist[u] == math.inf:
+                    dist[u] = dist[v] + 1
+                    frontier.append(u)
+        back.append(dist)
+    return back
+
+
+def _finite(word: tuple[str, ...], trace: complex) -> complex:
+    if not cmath.isfinite(trace):
+        raise ValueError(f"trace along word {','.join(word)} is not finite")
+    return trace
+
+
+def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple, event=None) -> list:
+    """Canonical closed walks of length <= max_len with the traces of ``reps`` along them.
+
+    Returns ``(word, traces)`` pairs in lexicographic order of ``word``,
+    ``traces[i]`` being the trace of ``reps[i]`` along it.  The search is
+    a depth-first prenecklace search (Cattell, Ruskey, Sawada, Serra,
+    Miers, J. Algorithms 37, 2000) restricted to walks: a word of length
+    ``t`` whose longest Lyndon prefix has length ``p`` extends only by
+    labels ``>= word[t - p]`` leaving its head (an equal label keeps
+    ``p``, a larger one sets ``p = t + 1``), and it is its own least
+    rotation iff ``p`` divides ``t``.  Each rotation class of closed walks
+    is reached once, as its least rotation.
+
+    A stack entry ``(word, p, start, prev)`` carries the running product
+    of each representation along its parent word (the identity at the
+    root), so a visited word costs one ``matrices[label] @ prev`` per
+    representation, the same products in the same order as
+    :func:`cycle_trace`.  A walk is dropped when the hop distance from its
+    head back to its start exceeds the length it has left; every prefix of
+    a closed walk within the bound passes, so no walk is lost.  Visiting
+    more than ``MAX_CYCLE_WORDS`` words raises ValueError.
+
+    With ``event``, only walks whose traces satisfy ``event(traces)`` are
+    returned, and each lowers the length bound below its own length.
+    Every later word is lexicographically larger, so only a shorter one
+    can come before it in shortlex order: the last walk returned is the
+    shortlex-first event.
+    """
+    head = {a.label: a.head for a in dq.arrows}
+    out = [sorted(a.label for a in dq.arrows if a.tail == v) for v in range(len(dq.dims))]
+    back = _hops_back(dq)
+    mats = [r.matrices for r in reps]
+    eyes = [(np.eye(d, dtype=complex),) * len(reps) for d in dq.dims]
+    roots = sorted(dq.arrows, key=lambda a: a.label, reverse=True)
+    stack = [((a.label,), 1, a.tail, eyes[a.tail]) for a in roots]
+    limit, visited, found = max_len, 0, []
+    # an overflow surfaces as a non-finite trace, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        while stack:
+            word, p, start, prev = stack.pop()
+            t, label = len(word), word[-1]
+            here = head[label]
+            if back[start][here] > limit - t:
+                continue
+            visited += 1
+            if visited > MAX_CYCLE_WORDS:
+                raise ValueError(f"cycle search at max_len {max_len} exceeds {MAX_CYCLE_WORDS} words")
+            closed = here == start and t % p == 0
+            if not (closed or t < limit):
+                continue
+            products = [m[label] @ q for m, q in zip(mats, prev)]
+            if closed:
+                traces = [complex(m.trace()) for m in products]
+                if event is None:
+                    found.append((word, traces))
+                elif event(traces):
+                    found.append((word, traces))
+                    limit = t - 1
+                    continue
+            if t < limit:
+                floor = word[t - p]
+                for nxt in reversed(out[here]):
+                    if nxt < floor:
+                        break
+                    stack.append((word + (nxt,), p if nxt == floor else t + 1, start, products))
+    return found
+
+
 def enumerate_cycles(dq: DoubleQuiver, max_len: int) -> list[tuple[str, ...]]:
     """Canonical words of all closed oriented paths with length <= max_len.
 
     Closed paths that traverse a loop several times count (their words
-    are distinct); rotations of one word are identified.  Output is
-    sorted by length, then lexicographically.
-
-    Prenecklace search (Cattell, Ruskey, Sawada, Serra, Miers, J.
-    Algorithms 37, 2000) restricted to paths: a word of length ``t`` whose
-    longest Lyndon prefix has length ``p`` extends only by labels ``>=
-    word[t - p]`` (an equal label keeps ``p``, a larger one sets ``p = t +
-    1``), and it is its own least rotation iff ``p`` divides ``t``.  Every
-    prefix of a closed path is a path, so each rotation class of closed
-    paths is reached once, as its least rotation.  A search that visits
-    more than ``MAX_CYCLE_WORDS`` words raises ValueError.
+    are distinct); rotations of one word are identified, and each word is
+    its least rotation.  Output is sorted by length, then
+    lexicographically.  This is the search of :func:`_closed_walks` with
+    no representation: ``MAX_CYCLE_WORDS`` bounds the words it visits,
+    and a walk that cannot close within the bound is never visited.
     """
-    if max_len < 1:
-        return []
-    by_label = dq.by_label
-    labels = sorted(by_label)
-    found = []
-    stack = [((label,), 1) for label in labels]
-    visited = 0
-    while stack:
-        word, p = stack.pop()
-        visited += 1
-        if visited > MAX_CYCLE_WORDS:
-            raise ValueError(f"cycle search at max_len {max_len} exceeds {MAX_CYCLE_WORDS} words")
-        t, here = len(word), by_label[word[-1]].head
-        if t % p == 0 and here == by_label[word[0]].tail:
-            found.append(word)
-        for label in labels if t < max_len else ():
-            if label >= word[t - p] and by_label[label].tail == here:
-                stack.append((word + (label,), p if label == word[t - p] else t + 1))
-    return sorted(found, key=lambda w: (len(w), w))
+    return sorted((word for word, _ in _closed_walks(dq, max_len, ())), key=_shortlex)
 
 
 def default_max_len(rep: DoubleQuiverRep) -> int:
@@ -333,31 +408,34 @@ def cycle_trace(rep: DoubleQuiverRep, word: tuple[str, ...]) -> complex:
     first = dq.arrow(word[0])
     m = np.eye(dq.dims[first.tail], dtype=complex)
     here = first.tail
-    for label in word:
-        a = dq.arrow(label)
-        if a.tail != here:
-            raise ValueError(f"word {word} is not a path at label {label}")
-        m = rep.matrices[label] @ m
-        here = a.head
-    if here != first.tail:
-        raise ValueError(f"word {word} is not closed")
-    trace = complex(np.trace(m))
-    if not np.isfinite(trace):
-        raise ValueError(f"trace along word {','.join(word)} is not finite")
-    return trace
+    with np.errstate(over="ignore", invalid="ignore"):
+        for label in word:
+            a = dq.arrow(label)
+            if a.tail != here:
+                raise ValueError(f"word {word} is not a path at label {label}")
+            m = rep.matrices[label] @ m
+            here = a.head
+        if here != first.tail:
+            raise ValueError(f"word {word} is not closed")
+        trace = complex(np.trace(m))
+    return _finite(word, trace)
 
 
 def invariants(rep: DoubleQuiverRep, max_len: int | None = None) -> InvariantVector:
-    """Traces along every canonical cycle word up to ``max_len``.
+    """Traces along every canonical cycle word up to ``max_len``, in shortlex order.
 
-    These are invariant under the gauge action at every vertex.
+    These are invariant under the gauge action at every vertex.  The
+    cycle search carries each word's running product, so a word costs one
+    matrix product rather than one per label, and every trace equals
+    :func:`cycle_trace` bit for bit.  A trace that is not finite raises
+    ValueError naming the shortlex-first such word.
     """
     if max_len is None:
         max_len = default_max_len(rep)
-    words = enumerate_cycles(rep.quiver, max_len)
+    walks = sorted(_closed_walks(rep.quiver, max_len, (rep,)), key=lambda wt: _shortlex(wt[0]))
     return InvariantVector(
         max_len=max_len,
-        entries={w: cycle_trace(rep, w) for w in words},
+        entries={word: _finite(word, trace) for word, (trace,) in walks},
     )
 
 
@@ -390,24 +468,36 @@ def equivalence_certificate(
     """Compare cycle traces of two representations of one double quiver.
 
     A trace difference above ``tol * max(|t1|, |t2|, 1)`` yields verdict
-    ``distinct`` with the first such cycle in canonical order as witness;
+    ``distinct`` with the first such cycle in shortlex order as witness;
     otherwise the verdict is ``indistinguishable`` at the used max_len.
+    One cycle search carries the running products of both
+    representations; each differing or non-finite trace lowers its length
+    bound, so the search stops short of max_len once a shorter word has
+    decided.  A non-finite trace on the shortlex-first such word raises
+    ValueError instead.
     """
     if not same_quiver(r1.quiver, r2.quiver):
         raise QuiverMismatchError("representations live on different double quivers")
     if max_len is None:
         max_len = default_max_len(r1)
-    for word in enumerate_cycles(r1.quiver, max_len):
-        t1, t2 = cycle_trace(r1, word), cycle_trace(r2, word)
-        if not relative(abs(t1 - t2), max(abs(t1), abs(t2), 1.0)) <= tol:
-            return EquivalenceCertificate(
-                verdict="distinct",
-                max_len=max_len,
-                witness=word,
-                left_trace=t1,
-                right_trace=t2,
-            )
-    return EquivalenceCertificate(verdict="indistinguishable", max_len=max_len)
+
+    def differs(traces):
+        t1, t2 = traces
+        if not (cmath.isfinite(t1) and cmath.isfinite(t2)):
+            return True
+        return not relative(abs(t1 - t2), max(abs(t1), abs(t2), 1.0)) <= tol
+
+    events = _closed_walks(r1.quiver, max_len, (r1, r2), event=differs)
+    if not events:
+        return EquivalenceCertificate(verdict="indistinguishable", max_len=max_len)
+    word, (t1, t2) = events[-1]
+    return EquivalenceCertificate(
+        verdict="distinct",
+        max_len=max_len,
+        witness=word,
+        left_trace=_finite(word, t1),
+        right_trace=_finite(word, t2),
+    )
 
 
 def invariant_distance(v1: InvariantVector, v2: InvariantVector) -> float:

@@ -332,7 +332,10 @@ def test_usage_error_exits_nonzero(capsys):
         (["validate"], "error: modulikit validate: the following arguments are required: --input"),
         (["validate", "--input", "c.json", "--tol", "abc"], "error: modulikit validate: argument --tol"),
         (["frobnicate"], "error: modulikit: argument command: invalid choice: 'frobnicate'"),
-        (["decompose", "--input", "w.json", "--bogus"], "error: modulikit: unrecognized arguments: --bogus"),
+        (
+            ["decompose", "--input", "w.json", "--bogus"],
+            "error: modulikit decompose: unrecognized arguments: --bogus",
+        ),
     ],
     ids=["missing-input", "tol-abc", "unknown-command", "unknown-flag"],
 )

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modulikit import connection, quiver, weights
+from modulikit import cli, connection, jsonio, quiver, weights
 from modulikit.errors import (
     CovarianceViolationError,
     DimensionMismatchError,
@@ -347,6 +348,112 @@ def test_invariants_scalar_chain():
     v = quiver.invariants(rep, max_len=2)
     assert set(v.entries) == {("A1", "B1")}
     assert v.entries[("A1", "B1")] == pytest.approx(6.0)
+
+
+def _search_cases():
+    """Chain doubles with uneven vertex dims, several chains, and the loop double."""
+    return [
+        (_chain_double([0, 0, 1, 2, 2, 2]), 8),
+        (_chain_double([0, 1, 1, 3, 4, 4, 4, 7]), 6),
+        (_chain_double([0, 1, 2, 3]), 6),
+        (_chain_double([0, 0, 1, 5, 6, 6, 9, 10]), 6),
+        (_loop_double(), 8),
+        (quiver.double(quiver.Quiver(dims=(3,), arrows=(quiver.Arrow(0, 0, "A1"),))), 6),
+    ]
+
+
+def test_invariants_equal_cycle_trace_bit_for_bit():
+    rng = np.random.default_rng(SEED + 12)
+    for dq, max_len in _search_cases():
+        rep = _random_rep(rng, dq)
+        entries = quiver.invariants(rep, max_len=max_len).entries
+        words = quiver.enumerate_cycles(dq, max_len)
+        assert list(entries) == words  # shortlex order
+        assert all(entries[w] == quiver.cycle_trace(rep, w) for w in words)
+
+
+def _shortlex_scan(r1, r2, words, tol):
+    """Brute-force certificate: every word of ``words`` in order, traced from scratch."""
+    for word in words:
+        t1, t2 = quiver.cycle_trace(r1, word), quiver.cycle_trace(r2, word)
+        if abs(t1 - t2) > tol * max(abs(t1), abs(t2), 1.0):
+            return "distinct", word, t1, t2
+    return "indistinguishable", None, None, None
+
+
+def _assert_matches_scan(r1, r2, max_len, words, tol):
+    cert = quiver.equivalence_certificate(r1, r2, max_len=max_len, tol=tol)
+    want = _shortlex_scan(r1, r2, words, tol)
+    assert (cert.verdict, cert.witness, cert.left_trace, cert.right_trace) == want
+    return cert
+
+
+def test_certificate_matches_a_shortlex_scan():
+    rng = np.random.default_rng(SEED + 13)
+    for dq, max_len in _search_cases():
+        words = brute_cycles(dq, max_len)
+        r1 = _random_rep(rng, dq)
+        gs = [disk_invertible(rng, d) for d in dq.dims]
+        moved = quiver.gauge_action(r1, gs)
+        assert _assert_matches_scan(r1, moved, max_len, words, 1e-8).verdict == "indistinguishable"
+        for label in sorted(r1.matrices):
+            mats = dict(r1.matrices, **{label: r1.matrices[label] * (1 + 1e-3)})
+            r2 = quiver.DoubleQuiverRep(quiver=dq, matrices=mats)
+            _assert_matches_scan(r1, r2, max_len, words, 1e-8)
+            assert _assert_matches_scan(_random_rep(rng, dq), r2, max_len, words, 1e-8).distinct
+
+
+def test_certificate_finds_a_first_difference_at_the_longest_length():
+    # scaling every arrow by c = 1 + eps scales a trace of length L by c**L, a
+    # relative move of 1 - c**-L where |t| >= 1 and less elsewhere; a tol
+    # between the largest move below max_len and the largest at max_len
+    # leaves only words of length max_len distinct
+    rng = np.random.default_rng(SEED + 14)
+    for dq, max_len in _search_cases():
+        r1 = quiver.DoubleQuiverRep(
+            quiver=dq, matrices={k: 2 * m for k, m in _random_rep(rng, dq).matrices.items()}
+        )
+        r2 = quiver.DoubleQuiverRep(
+            quiver=dq, matrices={k: m * (1 + 1e-6) for k, m in r1.matrices.items()}
+        )
+        moves = {}
+        for word in quiver.enumerate_cycles(dq, max_len):
+            t1, t2 = quiver.cycle_trace(r1, word), quiver.cycle_trace(r2, word)
+            short = len(word) < max_len
+            moves[short] = max(moves.get(short, 0.0), abs(t1 - t2) / max(abs(t1), abs(t2), 1.0))
+        assert moves[False] > moves[True]
+        tol = math.sqrt(moves[False] * moves[True])
+        cert = _assert_matches_scan(r1, r2, max_len, brute_cycles(dq, max_len), tol)
+        assert cert.distinct and len(cert.witness) == max_len
+
+
+def _loop_rep(a_val, b_val):
+    return quiver.DoubleQuiverRep(quiver=_loop_double(), matrices={"A1": [[a_val]], "B1": [[b_val]]})
+
+
+def test_overflow_raises_without_warnings():
+    # pytest turns warnings into errors, so an overflow warning would fail here
+    rep = _loop_rep(2.0, 1e200)
+    with pytest.raises(ValueError, match="^trace along word B1,B1 is not finite$"):
+        quiver.invariants(rep, max_len=3)
+    with pytest.raises(ValueError, match="^trace along word B1,B1,B1 is not finite$"):
+        quiver.cycle_trace(rep, ("B1", "B1", "B1"))
+    with pytest.raises(ValueError, match="^trace along word B1,B1 is not finite$"):
+        quiver.equivalence_certificate(rep, _loop_rep(2.0, 1e200), max_len=3)
+
+
+def test_certificate_reports_a_difference_before_a_later_overflow(tmp_path, capsys):
+    # A1 differs at length 1; B1,B1 overflows on both sides at length 2
+    paths = []
+    for a_val in (2.0, 3.0):
+        path = tmp_path / f"loop{a_val}.json"
+        path.write_text(jsonio.dumps(jsonio.rep_to_json(_loop_rep(a_val, 1e200))), encoding="utf-8")
+        paths += ["--input", str(path)]
+    code = cli.main(["equiv", *paths, "--max-len", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    result = json.loads(captured.out)["result"]
+    assert (result["verdict"], result["witness"]) == ("distinct", "A1")
 
 
 def test_invariants_are_gauge_invariant():
