@@ -9,6 +9,7 @@ Reports are byte-identical for a fixed seed and inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -186,7 +187,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {self.prog}: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Each parse starts from a fresh namespace and copies the ``append``
+    default before adding to it, so one parse leaves nothing in the
+    parser for the next.
+    """
     parser = _Parser(
         prog="modulikit",
         description="Weight gradings, covariant connection data, chain-quiver invariants, "

@@ -72,15 +72,19 @@ def _number(value, path: str) -> float:
 def _entries(entries: list, at: str) -> np.ndarray:
     """Complex values of ``[re, im]`` pairs whose parts are finite JSON numbers.
 
-    The whole list is converted at once; only when that fails does the
-    entry-by-entry decode run, to name the first bad entry.  Both give
-    the same values.
+    The whole list is converted at once, by one pass over its parts; only
+    when that fails does the entry-by-entry decode run, to name the first
+    bad entry.  Both give the same values.
     """
     try:
-        if set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
-            parts = np.array(entries, dtype=float).reshape(len(entries), 2)
+        if (
+            set(map(type, entries)) <= {list}
+            and set(map(len, entries)) == {2}
+            and set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}
+        ):
+            parts = np.fromiter(itertools.chain.from_iterable(entries), float, 2 * len(entries))
             if np.isfinite(parts).all():
-                return parts.view(complex).reshape(-1)
+                return parts.view(complex)
     except (TypeError, ValueError, OverflowError):
         pass
     values = []

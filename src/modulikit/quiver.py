@@ -37,9 +37,9 @@ from .weights import ChainDecomposition, chains
 MOMENT_CONVENTIONS = ("paper", "standard")
 # Cap applied to the default cycle length min(N^2, MAX_LEN_CAP).
 MAX_LEN_CAP = 12
-# Budget of words the cycle search may visit (pop from its stack and keep as
-# closable within max_len) before it gives up; the loop double reaches it
-# between max_len 20 and 21.
+# Budget of words the cycle search may visit (keep in a level as closable
+# within max_len), counted in shortlex order, before it gives up; the loop
+# double reaches it between max_len 20 and 21.
 MAX_CYCLE_WORDS = 2**18
 
 
@@ -280,10 +280,6 @@ def canonical_rotation(word: tuple[str, ...]) -> tuple[str, ...]:
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
-def _shortlex(word: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
-    return len(word), word
-
-
 def _hops_back(dq: DoubleQuiver) -> list[list[float]]:
     """``back[s][v]``: fewest arrows on a walk from vertex ``v`` to ``s``, inf if there is none."""
     nv = len(dq.dims)
@@ -311,68 +307,130 @@ def _finite(word: tuple[str, ...], trace: complex) -> complex:
 def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple, event=None) -> list:
     """Canonical closed walks of length <= max_len with the traces of ``reps`` along them.
 
-    Returns ``(word, traces)`` pairs in lexicographic order of ``word``,
+    Returns ``(word, traces)`` pairs in shortlex order of ``word``,
     ``traces[i]`` being the trace of ``reps[i]`` along it.  The search is
-    a depth-first prenecklace search (Cattell, Ruskey, Sawada, Serra,
-    Miers, J. Algorithms 37, 2000) restricted to walks: a word of length
-    ``t`` whose longest Lyndon prefix has length ``p`` extends only by
-    labels ``>= word[t - p]`` leaving its head (an equal label keeps
-    ``p``, a larger one sets ``p = t + 1``), and it is its own least
-    rotation iff ``p`` divides ``t``.  Each rotation class of closed walks
-    is reached once, as its least rotation.
+    a prenecklace search (Cattell, Ruskey, Sawada, Serra, Miers,
+    J. Algorithms 37, 2000) restricted to walks: a word of length ``t``
+    whose longest Lyndon prefix has length ``p`` extends only by labels
+    ``>= word[t - p]`` leaving its head (an equal label keeps ``p``, a
+    larger one sets ``p = t + 1``), and it is its own least rotation iff
+    ``p`` divides ``t``.  Each rotation class of closed walks is reached
+    once, as its least rotation.
 
-    A stack entry ``(word, p, start, prev)`` carries the running product
-    of each representation along its parent word (the identity at the
-    root), so a visited word costs one ``matrices[label] @ prev`` per
-    representation, the same products in the same order as
-    :func:`cycle_trace`.  A walk is dropped when the hop distance from its
-    head back to its start exceeds the length it has left; every prefix of
-    a closed walk within the bound passes, so no walk is lost.  Visiting
-    more than ``MAX_CYCLE_WORDS`` words raises ValueError.
+    The search is level-synchronous: level ``t`` is the list of rows
+    ``(word, p, start, here, parent)`` of every word of length ``t``,
+    ``parent`` being the row of ``word[:-1]`` in the level before.  A
+    row's children are the sorted labels leaving its head that pass the
+    ``>=`` filter, taken row by row, so every level comes out in
+    lexicographic order and the levels in shortlex order, with no sort.
+    Rows are plain tuples: levels of a few words are common, and integer
+    arrays would cost a few dozen numpy calls per level to maintain.  A
+    walk is dropped when the hop distance from its head back to its
+    start exceeds the length it has left; every prefix of a closed walk
+    within the bound passes, so no walk is lost.
 
-    With ``event``, only walks whose traces satisfy ``event(traces)`` are
-    returned, and each lowers the length bound below its own length.
-    Every later word is lexicographically larger, so only a shorter one
-    can come before it in shortlex order: the last walk returned is the
-    shortlex-first event.
+    The products of each representation along a level's closed words and
+    parents are formed in bulk: one stacked ``matrices[label] @
+    below[parents]`` per group of rows with the same last label and start
+    dimension, ``below`` holding the products along the level before, and
+    one batched ``np.trace`` per square shape.  These are the products of
+    :func:`cycle_trace` in its order, and the traces equal its traces bit
+    for bit.  The search keeps two levels of words and products; visiting
+    more than ``MAX_CYCLE_WORDS`` words, counted in shortlex order, raises
+    ValueError, so neither holds more words than that.
+
+    With ``event``, the search stops at the shortlex-first walk whose
+    traces satisfy ``event(traces)`` and returns it as a one-pair list
+    (an empty one if there is none).  Its level counts against the budget
+    only up to that walk.
     """
-    head = {a.label: a.head for a in dq.arrows}
-    out = [sorted(a.label for a in dq.arrows if a.tail == v) for v in range(len(dq.dims))]
+    by_label, dims = dq.by_label, dq.dims
+    head = {x: a.head for x, a in by_label.items()}
+    outs = [[] for _ in dims]
+    for x in sorted(by_label):
+        outs[by_label[x].tail].append(x)
     back = _hops_back(dq)
     mats = [r.matrices for r in reps]
-    eyes = [(np.eye(d, dtype=complex),) * len(reps) for d in dq.dims]
-    roots = sorted(dq.arrows, key=lambda a: a.label, reverse=True)
-    stack = [((a.label,), 1, a.tail, eyes[a.tail]) for a in roots]
-    limit, visited, found = max_len, 0, []
+
+    def products(below, place, level, groups):
+        """The stores and places of the products along the rows of a level.
+
+        ``groups[x, n]`` lists the rows with last label ``x`` and start
+        dimension ``n``.  Store ``(m, n)`` is a list with one array per
+        representation of the level's ``m x n`` products, stacked, and
+        ``place[i]`` is the index of the product along row ``i`` in its
+        store.  ``below`` and ``place`` come in as the stores and places
+        of the level before.
+        """
+        parts, size, new = {}, {}, [0] * len(level)
+        for (x, n), ids in groups.items():
+            a = by_label[x]
+            key = dims[a.head], n
+            at = size.get(key, 0)
+            size[key] = at + len(ids)
+            parents = [place[level[i][4]] for i in ids]
+            got = [m[x] @ src.take(parents, axis=0) for m, src in zip(mats, below[dims[a.tail], n])]
+            parts.setdefault(key, []).append(got)
+            for i in ids:
+                new[i] = at
+                at += 1
+        stores = {
+            key: got[0] if len(got) == 1 else [np.concatenate(col) for col in zip(*got)]
+            for key, got in parts.items()
+        }
+        return stores, new
+
+    # level 0 holds the empty walk at each vertex, row v at vertex v, with
+    # the identity as its product
+    stores = {(d, d): [np.eye(d, dtype=complex)[None]] * len(reps) for d in set(dims)}
+    level = [
+        ((x,), 1, a.tail, a.head, a.tail) for x, a in sorted(by_label.items()) if back[a.tail][a.head] < max_len
+    ]
+    place, found, visited, t = [0] * len(dims), [], 0, 1
     # an overflow surfaces as a non-finite trace, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        while stack:
-            word, p, start, prev = stack.pop()
-            t, label = len(word), word[-1]
-            here = head[label]
-            if back[start][here] > limit - t:
-                continue
-            visited += 1
-            if visited > MAX_CYCLE_WORDS:
+        while level:
+            over = visited + len(level) > MAX_CYCLE_WORDS
+            if over and event is None:
                 raise ValueError(f"cycle search at max_len {max_len} exceeds {MAX_CYCLE_WORDS} words")
-            closed = here == start and t % p == 0
-            if not (closed or t < limit):
-                continue
-            products = [m[label] @ q for m, q in zip(mats, prev)]
-            if closed:
-                traces = [complex(m.trace()) for m in products]
-                if event is None:
-                    found.append((word, traces))
-                elif event(traces):
-                    found.append((word, traces))
-                    limit = t - 1
-                    continue
-            if t < limit:
-                floor = word[t - p]
-                for nxt in reversed(out[here]):
-                    if nxt < floor:
-                        break
-                    stack.append((word + (nxt,), p if nxt == floor else t + 1, start, products))
+            if over:
+                # only the words that come before the budget runs out
+                level = level[: MAX_CYCLE_WORDS - visited]
+            visited += len(level)
+            final, left = over or t == max_len, max_len - t - 1
+            closed, kids, groups = [], [], {}
+            for i, (word, p, start, here, _) in enumerate(level):
+                # only a closed word or a parent needs its products
+                need = here == start and t % p == 0
+                if need:
+                    closed.append(i)
+                if not final:
+                    floor, hops = word[t - p], back[start]
+                    for x in outs[here]:
+                        if x >= floor and hops[head[x]] <= left:
+                            kids.append((word + (x,), p if x == floor else t + 1, start, head[x], i))
+                            need = True
+                if need and reps:
+                    groups.setdefault((word[-1], dims[start]), []).append(i)
+            traces = [()] * len(closed)
+            if reps:
+                stores, place = products(stores, place, level, groups)
+                sums, traces = {}, []
+                for i in closed:
+                    n = dims[level[i][2]]
+                    if n not in sums:
+                        sums[n] = [out.trace(axis1=1, axis2=2).tolist() for out in stores[n, n]]
+                    traces.append(tuple([col[place[i]] for col in sums[n]]))
+            walks = zip((level[i][0] for i in closed), traces)
+            if event is None:
+                found += walks
+            else:
+                for walk in walks:
+                    if event(walk[1]):
+                        return [walk]
+            if over:
+                raise ValueError(f"cycle search at max_len {max_len} exceeds {MAX_CYCLE_WORDS} words")
+            level, t = kids, t + 1
     return found
 
 
@@ -381,12 +439,13 @@ def enumerate_cycles(dq: DoubleQuiver, max_len: int) -> list[tuple[str, ...]]:
 
     Closed paths that traverse a loop several times count (their words
     are distinct); rotations of one word are identified, and each word is
-    its least rotation.  Output is sorted by length, then
-    lexicographically.  This is the search of :func:`_closed_walks` with
-    no representation: ``MAX_CYCLE_WORDS`` bounds the words it visits,
-    and a walk that cannot close within the bound is never visited.
+    its least rotation.  Output is in shortlex order: by length, then
+    lexicographically, the order in which the level search of
+    :func:`_closed_walks` finds them.  This is that search with no
+    representation: ``MAX_CYCLE_WORDS`` bounds the words it visits, and a
+    walk that cannot close within the bound is never visited.
     """
-    return sorted((word for word, _ in _closed_walks(dq, max_len, ())), key=_shortlex)
+    return [word for word, _ in _closed_walks(dq, max_len, ())]
 
 
 def default_max_len(rep: DoubleQuiverRep) -> int:
@@ -425,14 +484,15 @@ def invariants(rep: DoubleQuiverRep, max_len: int | None = None) -> InvariantVec
     """Traces along every canonical cycle word up to ``max_len``, in shortlex order.
 
     These are invariant under the gauge action at every vertex.  The
-    cycle search carries each word's running product, so a word costs one
-    matrix product rather than one per label, and every trace equals
-    :func:`cycle_trace` bit for bit.  A trace that is not finite raises
-    ValueError naming the shortlex-first such word.
+    level search of :func:`_closed_walks` finds the words in shortlex
+    order and carries their running products, so a word costs one row of
+    a stacked matrix product rather than one product per label, and every
+    trace equals :func:`cycle_trace` bit for bit.  A trace that is not
+    finite raises ValueError naming the shortlex-first such word.
     """
     if max_len is None:
         max_len = default_max_len(rep)
-    walks = sorted(_closed_walks(rep.quiver, max_len, (rep,)), key=lambda wt: _shortlex(wt[0]))
+    walks = _closed_walks(rep.quiver, max_len, (rep,))
     return InvariantVector(
         max_len=max_len,
         entries={word: _finite(word, trace) for word, (trace,) in walks},
@@ -470,11 +530,11 @@ def equivalence_certificate(
     A trace difference above ``tol * max(|t1|, |t2|, 1)`` yields verdict
     ``distinct`` with the first such cycle in shortlex order as witness;
     otherwise the verdict is ``indistinguishable`` at the used max_len.
-    One cycle search carries the running products of both
-    representations; each differing or non-finite trace lowers its length
-    bound, so the search stops short of max_len once a shorter word has
-    decided.  A non-finite trace on the shortlex-first such word raises
-    ValueError instead.
+    One level search carries the running products of both
+    representations and visits the words in shortlex order, so it stops
+    at the first differing or non-finite trace, at the shortest length
+    that decides, whatever max_len is.  A non-finite trace on that word
+    raises ValueError instead.
     """
     if not same_quiver(r1.quiver, r2.quiver):
         raise QuiverMismatchError("representations live on different double quivers")
@@ -490,7 +550,7 @@ def equivalence_certificate(
     events = _closed_walks(r1.quiver, max_len, (r1, r2), event=differs)
     if not events:
         return EquivalenceCertificate(verdict="indistinguishable", max_len=max_len)
-    word, (t1, t2) = events[-1]
+    [(word, (t1, t2))] = events
     return EquivalenceCertificate(
         verdict="distinct",
         max_len=max_len,

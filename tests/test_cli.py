@@ -500,6 +500,25 @@ def test_cycle_search_past_its_budget_exits_2(tmp_path, capsys):
     assert "max_len 40" in err and "Traceback" not in err
 
 
+def test_equiv_answers_at_the_shortest_differing_length(tmp_path, capsys):
+    # every word shorter than B1,B1 has trace 0 on both sides; the search
+    # meets B1,B1 at length 2, far inside the word budget of length 21
+    dq = quiver.double(quiver.Quiver(dims=(2,), arrows=(quiver.Arrow(0, 0, "A1"),)))
+    paths = []
+    for b1 in (np.diag([1.0, -1.0]), [[0.0, 1.0], [0.0, 0.0]]):
+        rep = quiver.DoubleQuiverRep(quiver=dq, matrices={"A1": np.zeros((2, 2)), "B1": b1})
+        paths += ["--input", _write(tmp_path, f"loop{len(paths)}.json", jsonio.rep_to_json(rep))]
+    code, report, err = _run(capsys, ["equiv", *paths, "--max-len", "21"])
+    assert code == 1 and err == ""
+    assert report["result"] == {
+        "verdict": "distinct",
+        "max_len": 21,
+        "witness": "B1,B1",
+        "left_trace": [2.0, 0.0],
+        "right_trace": [0.0, 0.0],
+    }
+
+
 def _loop_rep_json(diag):
     dq = quiver.double(quiver.Quiver(dims=(2,), arrows=(quiver.Arrow(0, 0, "A1"),)))
     rep = quiver.DoubleQuiverRep(quiver=dq, matrices={"A1": np.diag(diag), "B1": np.zeros((2, 2))})
@@ -523,3 +542,23 @@ def test_invariants_of_walks_longer_than_the_recursion_limit(tmp_path, capsys):
     entries = report["result"]["entries"]
     assert len(entries) == 600  # (A1, B1)^k for k = 1..600
     assert all(t == [1.0, 0.0] for t in entries.values())
+
+
+def test_a_second_call_in_one_process_reports_like_a_fresh_one(tmp_path, capsys):
+    # the parser is built once per process, so nothing of one parse may
+    # reach the next: not an --input appended, nor a --max-len or --tol
+    one = _write(tmp_path, "one.json", _scalar_rep_json(2.0, 3.0))
+    two = _write(tmp_path, "two.json", _scalar_rep_json(1.0, 5.0))
+    calls = [
+        ["equiv", "--input", one, "--input", two, "--max-len", "4", "--tol", "1e-3"],
+        ["equiv", "--input", two, "--input", two, "--max-len", "2"],
+        ["invariants", "--input", one],
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_run(capsys, argv))
+    cli.build_parser.cache_clear()
+    assert [_run(capsys, argv) for argv in calls + calls] == fresh + fresh
+    assert cli.build_parser() is cli.build_parser()
+    assert fresh[0][1]["tolerances_used"] == {"tol": 1e-3} and fresh[1][1]["result"]["max_len"] == 2

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import functools
 import io
 import json
 import pathlib
@@ -139,8 +138,6 @@ INPUT_CASES = [(name, args) for name, args in CASES if "--input" in args]
 @pytest.mark.parametrize("name, args", INPUT_CASES, ids=[name for name, _ in INPUT_CASES])
 def test_damaged_inputs_keep_the_exit_code_contract(name, args, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-    # one parser per case: building it for each of ~200 runs would dominate the time
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     argv = _argv(args)
     for k in (k for k, arg in enumerate(args) if k and args[k - 1] == "--input"):
         doc = json.loads((INPUTS / args[k]).read_text(encoding="utf-8"))

@@ -351,7 +351,12 @@ def test_invariants_scalar_chain():
 
 
 def _search_cases():
-    """Chain doubles with uneven vertex dims, several chains, and the loop double."""
+    """Chain doubles with uneven vertex dims, several chains, and loop doubles.
+
+    The dimension-12 loop and the chain with dims (1, 9, 1, 10) stack
+    products of sizes where a BLAS kernel or a pairwise sum could round a
+    stacked product or a batched trace differently from a single one.
+    """
     return [
         (_chain_double([0, 0, 1, 2, 2, 2]), 8),
         (_chain_double([0, 1, 1, 3, 4, 4, 4, 7]), 6),
@@ -359,6 +364,8 @@ def _search_cases():
         (_chain_double([0, 0, 1, 5, 6, 6, 9, 10]), 6),
         (_loop_double(), 8),
         (quiver.double(quiver.Quiver(dims=(3,), arrows=(quiver.Arrow(0, 0, "A1"),))), 6),
+        (quiver.double(quiver.Quiver(dims=(12,), arrows=(quiver.Arrow(0, 0, "A1"),))), 6),
+        (_chain_double([0, *[1] * 9, 2, *[3] * 10]), 6),
     ]
 
 
@@ -429,6 +436,17 @@ def test_certificate_finds_a_first_difference_at_the_longest_length():
 
 def _loop_rep(a_val, b_val):
     return quiver.DoubleQuiverRep(quiver=_loop_double(), matrices={"A1": [[a_val]], "B1": [[b_val]]})
+
+
+def test_certificate_counts_words_only_up_to_its_witness(monkeypatch):
+    # level 1 is A1, B1: a budget of one word covers the witness A1, not B1
+    monkeypatch.setattr(quiver, "MAX_CYCLE_WORDS", 1)
+    cert = quiver.equivalence_certificate(_loop_rep(2.0, 1.0), _loop_rep(3.0, 1.0), max_len=3)
+    assert (cert.verdict, cert.witness) == ("distinct", ("A1",))
+    with pytest.raises(ValueError, match="^cycle search at max_len 3 exceeds 1 words$"):
+        quiver.equivalence_certificate(_loop_rep(2.0, 1.0), _loop_rep(2.0, 3.0), max_len=3)
+    with pytest.raises(ValueError, match="^cycle search at max_len 3 exceeds 1 words$"):
+        quiver.invariants(_loop_rep(2.0, 1.0), max_len=3)
 
 
 def test_overflow_raises_without_warnings():
