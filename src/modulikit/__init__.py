@@ -1,5 +1,5 @@
-"""Weight gradings, covariant connection data, chain-quiver invariants,
-and Jordan triple spectral tools for complex matrix groups."""
+"""Weight gradings, covariant connection data, weight-quiver trace
+invariants, and Jordan triple spectral tools for complex matrix groups."""
 
 from . import connection, errors, jordan, jsonio, linalg, quiver, selftest, weights
 from .connection import (
@@ -40,7 +40,6 @@ from .quiver import (
     EquivalenceCertificate,
     InvariantVector,
     Quiver,
-    chain_quiver,
     double,
     enumerate_cycles,
     equivalence_certificate,
@@ -49,10 +48,9 @@ from .quiver import (
     invariants,
     moment_map,
     to_connection,
+    weight_quiver,
 )
 from .weights import (
-    Chain,
-    ChainDecomposition,
     WeightBlock,
     WeightData,
     WeightDecomposition,

@@ -70,8 +70,8 @@ def _decompose(args, w):
     chain_rows = None
     if d.rank == 1:
         chain_rows = [
-            {"base_weight": c.base_weight, "dims": list(c.dims), "indices": [list(ix) for ix in c.indices]}
-            for c in weights.chains(d).chains
+            {"base_weight": run[0].weight[0], "dims": [b.dim for b in run], "indices": [list(b.indices) for b in run]}
+            for run in weights.chains(d)
         ]
     return 0, {"result": {"rank": d.rank, "dim": d.dim, "blocks": blocks, "chains": chain_rows}}
 
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     """
     parser = _Parser(
         prog="modulikit",
-        description="Weight gradings, covariant connection data, chain-quiver invariants, "
+        description="Weight gradings, covariant connection data, weight-quiver invariants, "
         "and Jordan triple spectral tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

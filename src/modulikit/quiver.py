@@ -1,11 +1,13 @@
-"""Chain quivers, their doubles, moment maps, and trace invariants.
+"""Weight quivers, their doubles, moment maps, and trace invariants.
 
-A rank-1 weight grading with levels ``m, m+1, ..., m+l`` yields a linear
-chain quiver: one vertex per level, one arrow per consecutive pair,
-pointing from lower to higher weight.  Doubling adds the reversed arrow
-for every original one (``A<rest>`` pairs with ``B<rest>``, any other
-label ``X`` with ``X_op``).  Connection data restricted to its allowed
-blocks is exactly a representation of the double.
+A weight grading of any torus rank yields its weight quiver: one vertex
+per weight block, and one arrow from block ``j`` to block ``l`` whenever
+``w_l - w_j = e_i``, the shift on which the raising matrix ``A_i`` may be
+nonzero.  At rank 1 it is one linear chain per run of consecutive
+weights.  Doubling adds the reversed arrow for every original one
+(``A<rest>`` pairs with ``B<rest>``, any other label ``X`` with ``X_op``).
+Connection data restricted to its allowed blocks is exactly a
+representation of the double.
 
 Two moment-map conventions are provided.  With ``"paper"`` the sum runs
 over every arrow of the double, which makes the map vanish identically:
@@ -26,13 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .connection import ConnectionData, structural_violations
 from .errors import (
     CovarianceViolationError,
     DimensionMismatchError,
     QuiverMismatchError,
 )
 from .linalg import DEFAULT_TOL, as_matrix, invert, relative
-from .weights import ChainDecomposition, chains
+from .weights import WeightDecomposition
 
 MOMENT_CONVENTIONS = ("paper", "standard")
 # Cap applied to the default cycle length min(N^2, MAX_LEN_CAP).
@@ -167,32 +170,34 @@ class DoubleQuiverRep:
         return sum(self.quiver.dims)
 
 
-def _chain_layout(ch: ChainDecomposition):
-    """Arrows of the chain quiver in traversal order.
+def _weight_arrows(d: WeightDecomposition):
+    """Arrows of the weight quiver of ``d``, numbered by (tail block, direction).
 
-    Yields ``(k, tail, head, lo, hi)`` for arrow ``A<k>``: its tail and
-    head vertex positions and the basis indices of the lower and upper
-    weight levels it joins.  ``B<k>`` is the same arrow reversed.
+    Yields ``(k, i, tail, head)`` for arrow ``A<k>``: ``tail`` and ``head``
+    are block positions with ``w_head - w_tail = e_i``, the shift on which
+    ``A_i`` may be nonzero.  ``B<k>`` is the same arrow reversed, on the
+    shift ``-e_i`` that ``B_i`` may use.
     """
-    k = base = 0
-    for chain in ch.chains:
-        for lvl in range(1, len(chain.indices)):
-            k += 1
-            lo, hi = list(chain.indices[lvl - 1]), list(chain.indices[lvl])
-            yield k, base + lvl - 1, base + lvl, lo, hi
-        base += len(chain.indices)
+    at = {block.weight: v for v, block in enumerate(d.blocks)}
+    k = 0
+    for tail, block in enumerate(d.blocks):
+        w = block.weight
+        for i in range(d.rank):
+            head = at.get(w[:i] + (w[i] + 1,) + w[i + 1 :])
+            if head is not None:
+                k += 1
+                yield k, i, tail, head
 
 
-def chain_quiver(ch: ChainDecomposition) -> Quiver:
-    """Linear quiver of a chain decomposition, arrows pointing up in weight.
+def weight_quiver(d: WeightDecomposition) -> Quiver:
+    """Quiver of a weight grading: one vertex per block of ``d``, one arrow per unit raise.
 
-    Chains become connected components; vertices are numbered chain by
-    chain, levels ascending, and arrows are labeled ``A1, A2, ...`` in
-    that traversal order.
+    At rank 1 each run of consecutive weights is a linear chain, its
+    arrows labelled ``A1, A2, ...`` in block order.
     """
     return Quiver(
-        dims=tuple(d for chain in ch.chains for d in chain.dims),
-        arrows=tuple(Arrow(tail=t, head=h, label=f"A{k}") for k, t, h, _, _ in _chain_layout(ch)),
+        dims=tuple(block.dim for block in d.blocks),
+        arrows=tuple(Arrow(tail=t, head=h, label=f"A{k}") for k, _, t, h in _weight_arrows(d)),
     )
 
 
@@ -202,40 +207,37 @@ def double(q: Quiver) -> DoubleQuiver:
     return DoubleQuiver(dims=q.dims, arrows=q.arrows + tuple(reverse))
 
 
-def from_connection(c) -> DoubleQuiverRep:
-    """Cut covariant connection data into blocks of its chain double.
+def from_connection(c: ConnectionData) -> DoubleQuiverRep:
+    """Cut covariant connection data of any rank into blocks of its weight double.
 
     The data must satisfy the weight-shift pattern exactly; a nonzero
     entry on a forbidden block raises CovarianceViolationError.
     """
-    from .connection import structural_violations
-
     bad = structural_violations(c)
     if bad:
         raise CovarianceViolationError(
             f"connection data violates the weight-shift pattern at {len(bad)} entries"
         )
-    ch = chains(c.decomposition)
+    d = c.decomposition
+    ix = [list(block.indices) for block in d.blocks]
     mats: dict[str, np.ndarray] = {}
-    for k, _, _, lo, hi in _chain_layout(ch):
-        mats[f"A{k}"] = c.a_list[0][np.ix_(hi, lo)]
-        mats[f"B{k}"] = c.b_list[0][np.ix_(lo, hi)]
-    return DoubleQuiverRep(quiver=double(chain_quiver(ch)), matrices=mats)
+    for k, i, t, h in _weight_arrows(d):
+        mats[f"A{k}"] = c.a_list[i][np.ix_(ix[h], ix[t])]
+        mats[f"B{k}"] = c.b_list[i][np.ix_(ix[t], ix[h])]
+    return DoubleQuiverRep(quiver=double(weight_quiver(d)), matrices=mats)
 
 
-def to_connection(rep: DoubleQuiverRep, decomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Reassemble the (A, B) pair of a chain-double representation.
-
-    Inverse of :func:`from_connection` for the grading that produced the
-    representation; returns plain matrices.
-    """
-    n = decomposition.dim
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros((n, n), dtype=complex)
-    for k, _, _, lo, hi in _chain_layout(chains(decomposition)):
-        a[np.ix_(hi, lo)] = rep.matrices[f"A{k}"]
-        b[np.ix_(lo, hi)] = rep.matrices[f"B{k}"]
-    return a, b
+def to_connection(rep: DoubleQuiverRep, d: WeightDecomposition) -> ConnectionData:
+    """Inverse of :func:`from_connection` for the grading ``d`` that produced ``rep``."""
+    if not same_quiver(rep.quiver, double(weight_quiver(d))):
+        raise QuiverMismatchError("representation does not live on the weight double of the grading")
+    a = np.zeros((d.rank, d.dim, d.dim), dtype=complex)
+    b = np.zeros_like(a)
+    ix = [list(block.indices) for block in d.blocks]
+    for k, i, t, h in _weight_arrows(d):
+        a[i][np.ix_(ix[h], ix[t])] = rep.matrices[f"A{k}"]
+        b[i][np.ix_(ix[t], ix[h])] = rep.matrices[f"B{k}"]
+    return ConnectionData(decomposition=d, a_list=tuple(a), b_list=tuple(b))
 
 
 def moment_map(rep: DoubleQuiverRep, convention: str = "paper") -> list[np.ndarray]:

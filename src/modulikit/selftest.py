@@ -58,8 +58,7 @@ def _rand_connection(rng, n=None):
 
 def _rand_chain_rep(rng):
     d = _rand_decomposition(rng)
-    ch = weights.chains(d)
-    dq = quiver.double(quiver.chain_quiver(ch))
+    dq = quiver.double(quiver.weight_quiver(d))
     dims = dq.dims
     mats = {
         a.label: cnormal(rng, dims[a.head], dims[a.tail]) for a in dq.arrows
@@ -172,15 +171,16 @@ def _prop_chains_lossless(rng, samples):
     bad = 0
     for _ in range(samples):
         d = _rand_decomposition(rng)
-        ch = weights.chains(d)
-        if sum(sum(c.dims) for c in ch.chains) != d.dim:
+        runs = weights.chains(d)
+        if sum(b.dim for run in runs for b in run) != d.dim:
             bad += 1
             continue
-        rebuilt = []
-        for c in ch.chains:
-            for lvl, ix in enumerate(c.indices):
-                rebuilt.append(weights.WeightBlock(weight=(c.base_weight + lvl,), indices=ix))
-        if tuple(rebuilt) != d.blocks:
+        rebuilt = tuple(
+            weights.WeightBlock(weight=(run[0].weight[0] + lvl,), indices=b.indices)
+            for run in runs
+            for lvl, b in enumerate(run)
+        )
+        if rebuilt != d.blocks:
             bad += 1
     return float(bad), 0.0
 
@@ -418,7 +418,7 @@ def _chain_shape_family():
             vals.extend(range(base, base + levels))
             base += levels + 2
         d = weights.decompose(weights.WeightData.of(vals))
-        family.append(quiver.double(quiver.chain_quiver(weights.chains(d))))
+        family.append(quiver.double(quiver.weight_quiver(d)))
     family.append(quiver.double(quiver.Quiver(dims=(2,), arrows=(quiver.Arrow(0, 0, "A1"),))))
     return family
 

@@ -4,7 +4,7 @@ A homomorphism from a rank-r torus into GL_N(C) that is diagonal in the
 standard basis is encoded by one integer weight vector per basis index:
 the torus element ``tau`` acts on index ``i`` by the scalar
 ``prod_k tau_k ** m[i][k]``.  This module groups equal weight vectors into
-the graded decomposition, splits rank-1 gradings into maximal chains of
+the graded decomposition, splits rank-1 gradings into maximal runs of
 consecutive weights, and works with the block-diagonal centralizer of the
 grading.
 """
@@ -124,28 +124,12 @@ def decompose(w: WeightData) -> WeightDecomposition:
     return WeightDecomposition(rank=w.rank, dim=w.dim, blocks=blocks)
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Maximal run of consecutive rank-1 weights ``m, m+1, ..., m+l``."""
+def chains(d: WeightDecomposition) -> tuple[tuple[WeightBlock, ...], ...]:
+    """Split a rank-1 decomposition into maximal runs of consecutive weights.
 
-    base_weight: int
-    indices: tuple[tuple[int, ...], ...]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(ix) for ix in self.indices)
-
-
-@dataclass(frozen=True)
-class ChainDecomposition:
-    """Rank-1 grading split at weight gaps of at least 2."""
-
-    dim: int
-    chains: tuple[Chain, ...]
-
-
-def chains(d: WeightDecomposition) -> ChainDecomposition:
-    """Split a rank-1 decomposition into maximal consecutive-weight chains."""
+    Each run holds the blocks of weights ``m, m+1, ..., m+l`` in order;
+    runs split at weight gaps of at least 2.
+    """
     if d.rank != 1:
         raise RankNotOneError(f"chain decomposition needs rank 1, got rank {d.rank}")
     runs: list[list[WeightBlock]] = []
@@ -154,13 +138,7 @@ def chains(d: WeightDecomposition) -> ChainDecomposition:
             runs[-1].append(block)
         else:
             runs.append([block])
-    return ChainDecomposition(
-        dim=d.dim,
-        chains=tuple(
-            Chain(base_weight=run[0].weight[0], indices=tuple(b.indices for b in run))
-            for run in runs
-        ),
-    )
+    return tuple(map(tuple, runs))
 
 
 def _tau_vector(d: WeightDecomposition, tau) -> np.ndarray:

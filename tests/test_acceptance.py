@@ -194,7 +194,7 @@ def _loop_double(dim):
 
 
 def _chain_double_from_weights(vals):
-    return quiver.double(quiver.chain_quiver(weights.chains(_decomp(vals))))
+    return quiver.double(quiver.weight_quiver(_decomp(vals)))
 
 
 def _random_rep(rng, dq):

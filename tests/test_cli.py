@@ -28,7 +28,7 @@ def _connection_json(vals, a, b):
 
 
 def _scalar_rep_json(a_val, b_val):
-    dq = quiver.double(quiver.chain_quiver(weights.chains(_decomp([0, 1]))))
+    dq = quiver.double(quiver.weight_quiver(_decomp([0, 1])))
     rep = quiver.DoubleQuiverRep(quiver=dq, matrices={"A1": [[a_val]], "B1": [[b_val]]})
     return jsonio.rep_to_json(rep)
 

@@ -131,7 +131,7 @@ def _loop(label):
 def test_rep_round_trip():
     rng = np.random.default_rng(14)
     # a bare A pairs with B and any other label X with X_op, as double names them
-    chain = quiver.chain_quiver(weights.chains(_decomp([0, 0, 1])))
+    chain = quiver.weight_quiver(_decomp([0, 0, 1]))
     for q in (chain, _loop("A1"), _loop("A"), _loop("X"), _loop("B1")):
         dq = quiver.double(q)
         rep = quiver.DoubleQuiverRep(
@@ -206,7 +206,7 @@ def test_rep_requires_paired_labels():
 
 
 def _scalar_rep_obj():
-    dq = quiver.double(quiver.chain_quiver(weights.chains(_decomp([0, 1]))))
+    dq = quiver.double(quiver.weight_quiver(_decomp([0, 1])))
     rep = quiver.DoubleQuiverRep(quiver=dq, matrices={"A1": [[1.0]], "B1": [[2.0]]})
     return json.loads(jsonio.dumps(jsonio.rep_to_json(rep)))
 

@@ -1,4 +1,4 @@
-"""Chain doubles: block extraction, moment maps, cycles, trace invariants."""
+"""Weight doubles: block extraction, moment maps, cycles, trace invariants."""
 
 from __future__ import annotations
 
@@ -25,7 +25,27 @@ def _decomp(vals):
 
 
 def _chain_double(vals):
-    return quiver.double(quiver.chain_quiver(weights.chains(_decomp(vals))))
+    return quiver.double(quiver.weight_quiver(_decomp(vals)))
+
+
+# the commuting square: weights (0,0), (1,0), (0,1) and (1,1) twice
+SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1), (1, 1)]
+
+
+def _pattern_connection(rng, d):
+    """Random connection data over ``d``, nonzero on every allowed entry."""
+    shifts = d.shifts()
+    unit = np.eye(d.rank, dtype=np.int64)
+
+    def draw(target):
+        on = (shifts == target).all(axis=-1)
+        return np.where(on, rng.standard_normal(on.shape) + 1j * rng.standard_normal(on.shape), 0)
+
+    return connection.ConnectionData(
+        decomposition=d,
+        a_list=tuple(draw(e) for e in unit),
+        b_list=tuple(draw(-e) for e in unit),
+    )
 
 
 def _scalar_chain_rep(a_val, b_val):
@@ -49,16 +69,42 @@ def _random_rep(rng, dq):
 
 
 def test_chain_quiver_shape():
-    q = quiver.chain_quiver(weights.chains(_decomp([0, 0, 1, 3])))
+    q = quiver.weight_quiver(_decomp([0, 0, 1, 3]))
     assert q.dims == (2, 1, 1)
     assert [(a.tail, a.head, a.label) for a in q.arrows] == [(0, 1, "A1")]
 
 
 def test_chain_quiver_numbers_arrows_globally():
-    q = quiver.chain_quiver(weights.chains(_decomp([0, 1, 2, 5, 6])))
+    q = quiver.weight_quiver(_decomp([0, 1, 2, 5, 6]))
     assert q.dims == (1, 1, 1, 1, 1)
     assert [a.label for a in q.arrows] == ["A1", "A2", "A3"]
     assert [(a.tail, a.head) for a in q.arrows] == [(0, 1), (1, 2), (3, 4)]
+
+
+def test_weight_quiver_of_the_commuting_square():
+    q = quiver.weight_quiver(_decomp(SQUARE))
+    assert q.dims == (1, 1, 1, 2)
+    assert [(a.label, a.tail, a.head) for a in q.arrows] == [
+        ("A1", 0, 2),
+        ("A2", 0, 1),
+        ("A3", 1, 3),
+        ("A4", 2, 3),
+    ]
+
+
+def test_rank1_weight_quiver_chains_each_run():
+    rng = np.random.default_rng(SEED + 12)
+    for _ in range(200):
+        d = _decomp([int(v) for v in rng.integers(-5, 6, int(rng.integers(1, 10)))])
+        want = [
+            (d.blocks.index(lo), d.blocks.index(hi))
+            for run in weights.chains(d)
+            for lo, hi in zip(run, run[1:])
+        ]
+        q = quiver.weight_quiver(d)
+        assert q.dims == tuple(b.dim for b in d.blocks)
+        assert [(a.tail, a.head) for a in q.arrows] == want
+        assert [a.label for a in q.arrows] == [f"A{k}" for k in range(1, len(want) + 1)]
 
 
 def test_double_pairs_and_orientation():
@@ -136,25 +182,44 @@ def test_from_connection_extracts_blocks():
     assert_allclose(rep.matrices["B1"], [[7.0], [8.0]], atol=0)
 
 
-def test_connection_round_trip_is_exact():
-    rng = np.random.default_rng(SEED)
-    d = _decomp([0, 0, 1, 2, 2, 4, 5])
-    n = d.dim
-    w = d.index_weights()[:, 0]
-    a = np.where(w[:, None] - w[None, :] == 1, rng.standard_normal((n, n)), 0.0).astype(complex)
-    b = np.where(w[:, None] - w[None, :] == -1, rng.standard_normal((n, n)), 0.0).astype(complex)
-    c = connection.ConnectionData(decomposition=d, a_list=(a,), b_list=(b,))
-    rep = quiver.from_connection(c)
-    a2, b2 = quiver.to_connection(rep, d)
-    assert np.array_equal(a2, c.a_list[0])
-    assert np.array_equal(b2, c.b_list[0])
+@pytest.mark.parametrize(
+    "vals",
+    [[0, 0, 1, 2, 2, 4, 5], SQUARE + [(2, 1), (3, 1), (2, 2), (2, 2), (-1, 0)]],
+    ids=["rank1", "rank2"],
+)
+def test_connection_round_trip_is_exact(vals):
+    d = _decomp(vals)
+    c = _pattern_connection(np.random.default_rng(SEED), d)
+    back = quiver.to_connection(quiver.from_connection(c), d)
+    assert back.decomposition == d
+    for m2, m in zip(back.a_list + back.b_list, c.a_list + c.b_list):
+        assert np.array_equal(m2, m)
 
 
-def test_from_connection_rejects_forbidden_entries():
+def test_to_connection_needs_the_weight_double_of_its_grading():
+    # dims (1, 1) against (2, 1): the 1x1 blocks would broadcast into 1x2 ones
+    rep = _scalar_chain_rep(1.0, 2.0)
+    for vals in ([0, 0, 1], [0, 1, 2]):
+        with pytest.raises(QuiverMismatchError):
+            quiver.to_connection(rep, _decomp(vals))
+
+
+def _forbidden_rank1():
     d = _decomp([0, 1])
-    c = connection.ConnectionData(decomposition=d, a_list=(np.eye(2),), b_list=(np.zeros((2, 2)),))
+    return connection.ConnectionData(decomposition=d, a_list=(np.eye(2),), b_list=(np.zeros((2, 2)),))
+
+
+def _forbidden_rank2():
+    # A_2 joins weight (0, 0) to (1, 0), a shift of e_1 that only A_1 may use
+    a = np.zeros((2, 5, 5))
+    a[1, 1, 0] = 1.0
+    return connection.ConnectionData(decomposition=_decomp(SQUARE), a_list=tuple(a))
+
+
+@pytest.mark.parametrize("make", [_forbidden_rank1, _forbidden_rank2], ids=["rank1", "rank2"])
+def test_from_connection_rejects_forbidden_entries(make):
     with pytest.raises(CovarianceViolationError):
-        quiver.from_connection(c)
+        quiver.from_connection(make())
 
 
 # --- moment maps ----------------------------------------------------------------------
@@ -483,6 +548,19 @@ def test_invariants_are_gauge_invariant():
     v2 = quiver.invariants(quiver.gauge_action(rep, gs), max_len=6)
     scale = max(max(abs(t) for t in v1.entries.values()), 1.0)
     assert quiver.invariant_distance(v1, v2) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("vals", [[0, 0, 1, 2], SQUARE], ids=["rank1", "rank2"])
+def test_traces_are_invariant_under_connection_gauge(vals):
+    d = _decomp(vals)
+    c = _pattern_connection(np.random.default_rng(SEED + 13), d)
+    v1 = quiver.invariants(quiver.from_connection(c), max_len=4)
+    for seed in range(3):
+        moved = connection.gauge(c, weights.sample_commutant(d, seed))
+        v2 = quiver.invariants(quiver.from_connection(moved), max_len=4)
+        assert v2.entries.keys() == v1.entries.keys()
+        for word, t in v1.entries.items():
+            assert abs(v2.entries[word] - t) <= 1e-9 * abs(t)
 
 
 def test_trace_is_rotation_invariant():

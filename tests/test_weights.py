@@ -100,20 +100,22 @@ def test_weight_entries_must_fit_exact_differences(w, ok):
             weights.WeightData.of([0, w])
 
 
-# --- chains --------------------------------------------------------------------
+# --- chains: runs of consecutive weights --------------------------------------
+
+
+def _runs(d):
+    """Base weight and block dims of each run."""
+    return [(run[0].weight[0], tuple(b.dim for b in run)) for run in weights.chains(d)]
 
 
 def test_chains_split_at_gaps():
     d = weights.decompose(weights.WeightData.of([0, 0, 1, 3]))
-    ch = weights.chains(d)
-    assert [(c.base_weight, c.dims) for c in ch.chains] == [(0, (2, 1)), (3, (1,))]
+    assert _runs(d) == [(0, (2, 1)), (3, (1,))]
 
 
 def test_chains_consecutive_is_one_chain():
     d = weights.decompose(weights.WeightData.of([0, 1, 2]))
-    ch = weights.chains(d)
-    assert len(ch.chains) == 1
-    assert ch.chains[0].dims == (1, 1, 1)
+    assert _runs(d) == [(0, (1, 1, 1))]
 
 
 def test_chains_require_rank_one():
@@ -127,12 +129,12 @@ def test_chains_reconstruct_decomposition():
     for _ in range(50):
         n = int(rng.integers(1, 9))
         d = weights.decompose(weights.WeightData.of([int(v) for v in rng.integers(-4, 5, n)]))
-        ch = weights.chains(d)
-        assert sum(sum(c.dims) for c in ch.chains) == d.dim
+        runs = weights.chains(d)
+        assert sum(b.dim for run in runs for b in run) == d.dim
         rebuilt = [
-            weights.WeightBlock(weight=(c.base_weight + lvl,), indices=ix)
-            for c in ch.chains
-            for lvl, ix in enumerate(c.indices)
+            weights.WeightBlock(weight=(run[0].weight[0] + lvl,), indices=b.indices)
+            for run in runs
+            for lvl, b in enumerate(run)
         ]
         assert tuple(rebuilt) == d.blocks
 
