@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import os
 import sys
@@ -243,29 +244,61 @@ def _decode_inputs(args, cmd: Command) -> list:
     ]
 
 
+def _report(args, cmd: Command) -> tuple[int, str]:
+    """The exit code and report text of one op.
+
+    The decoded inputs and the report's dicts and lists are freed when
+    this returns, so that none of them is alive when ``main`` resumes
+    the garbage collector.
+    """
+    # an overflow surfaces below as a non-finite result, not as warnings
+    with np.errstate(all="ignore"):
+        args.seed = _resolve_seed(args.seed)
+        _check_domain(args)
+        code, fields = cmd.run(args, *_decode_inputs(args, cmd))
+    report = {
+        "command": args.command,
+        "violations": [],
+        "tolerances_used": {cmd.tol_key: args.tol} if cmd.tol_key else {},
+        **fields,
+    }
+    return code, jsonio.dumps(report)
+
+
+def _emit(out: str) -> None:
+    """Print the report and flush it, so that a failed write raises here."""
+    try:
+        print(out, flush=True)
+    except OSError:
+        # the reader is gone: what is left in the buffer, flushed again at
+        # exit, goes to the null device instead of failing a second time
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:
         # name the subcommand whose options were misspelt
         args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     cmd = COMMANDS[args.command]
+    # The decoded matrices and the report are hundreds of thousands of
+    # small lists, none of them in a reference cycle, all alive until the
+    # report is written: collections would only scan them again and again.
+    # The caller's collector state is restored on every way out.
+    resume = gc.isenabled()
+    gc.disable()
     try:
-        # an overflow surfaces below as a non-finite result, not as warnings
-        with np.errstate(all="ignore"):
-            args.seed = _resolve_seed(args.seed)
-            _check_domain(args)
-            code, fields = cmd.run(args, *_decode_inputs(args, cmd))
-        report = {
-            "command": args.command,
-            "violations": [],
-            "tolerances_used": {cmd.tol_key: args.tol} if cmd.tol_key else {},
-            **fields,
-        }
-        out = jsonio.dumps(report)
+        code, out = _report(args, cmd)
+        _emit(out)
     except (ModulikitError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(out)
+    finally:
+        if resume:
+            gc.enable()
     return code
 
 

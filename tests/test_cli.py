@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import modulikit.connection
-from modulikit import cli, connection, jsonio, quiver, weights
+from modulikit import cli, connection, jordan, jsonio, quiver, weights
 
 
 def _write(tmp_path, name, obj):
@@ -562,3 +566,141 @@ def test_a_second_call_in_one_process_reports_like_a_fresh_one(tmp_path, capsys)
     assert [_run(capsys, argv) for argv in calls + calls] == fresh + fresh
     assert cli.build_parser() is cli.build_parser()
     assert fresh[0][1]["tolerances_used"] == {"tol": 1e-3} and fresh[1][1]["result"]["max_len"] == 2
+
+
+# --- collector pause and output stream -----------------------------------------------
+
+
+def _collector_cases(tmp_path):
+    """(argv, COMMANDS patch, expected outcome) for every way out of ``main``."""
+    a = np.zeros((2, 2), dtype=complex)
+    a[1, 0] = 2.0
+    good = _write(tmp_path, "good.json", _connection_json([0, 1], a, np.zeros((2, 2))))
+    m1, m2 = np.zeros((2, 2)), np.zeros((2, 2))
+    m1[0, 1] = m2[1, 0] = 1.0
+    mixed = _write(
+        tmp_path, "mixed.json", {"rank": 2, "A_list": [jsonio.matrix_to_json(m1), jsonio.matrix_to_json(m2)]}
+    )
+    malformed = tmp_path / "bad.json"
+    malformed.write_text("{not json", encoding="utf-8")
+
+    def boom(args, c):
+        raise RuntimeError("unexpected")
+
+    crash = cli.Command("crashes", ("connection",), None, boom)
+    return {
+        "exit-0": (["validate", "--input", good], None, 0),
+        "exit-1": (["pure", "--input", mixed], None, 1),
+        "missing-file": (["validate", "--input", str(tmp_path / "absent.json")], None, 2),
+        "malformed-json": (["validate", "--input", str(malformed)], None, 2),
+        "usage-error": (["validate"], None, SystemExit),
+        "unexpected": (["validate", "--input", good], crash, RuntimeError),
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "case", ["exit-0", "exit-1", "missing-file", "malformed-json", "usage-error", "unexpected"]
+)
+def test_the_callers_collector_state_survives_main(tmp_path, capsys, monkeypatch, enabled, case):
+    argv, patch, outcome = _collector_cases(tmp_path)[case]
+    if patch is not None:
+        monkeypatch.setitem(cli.COMMANDS, argv[0], patch)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert cli.main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                cli.main(argv)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def _dense_inputs(tmp_path, n=64):
+    """Seeded rank-1 connection data on 16 weight levels, a centralizer element and a dense matrix."""
+    rng = np.random.default_rng(6401)
+    w = np.arange(n) % 16
+    up = w[:, None] - w[None, :] == 1
+    z = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    c = connection.ConnectionData(
+        decomposition=_decomp(w.tolist()), a_list=(np.where(up, z[0], 0),), b_list=(np.where(up.T, z[1], 0),)
+    )
+    h = weights.sample_commutant(c.decomposition, seed=6402)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    paths = [_write(tmp_path, name, obj) for name, obj in
+             [("c.json", jsonio.connection_to_json(c)), ("h.json", jsonio.matrix_to_json(h)),
+              ("m.json", jsonio.matrix_to_json(m))]]
+    return paths, [jsonio.loads_path(p) for p in paths]
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_large_reports_keep_the_canonical_encoding(tmp_path, capsys):
+    (c_path, h_path, m_path), (c_obj, h_obj, m_obj) = _dense_inputs(tmp_path)
+    c, h, m = jsonio.connection_from_json(c_obj), jsonio.matrix_from_json(h_obj), jsonio.matrix_from_json(m_obj)
+
+    outputs = {}
+    for argv in (["gauge", "--input", c_path, "--input", h_path], ["jordan-spectral", "--input", m_path]):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, allow_nan=False) + "\n"
+        outputs[argv[0]] = json.loads(out)["result"]
+
+    want = connection.gauge(c, h)
+    got = jsonio.connection_from_json(outputs["gauge"])
+    assert _same_bits(got.a_list[0], want.a_list[0]) and _same_bits(got.b_list[0], want.b_list[0])
+    sd = jordan.spectral(m)
+    result = outputs["jordan-spectral"]
+    assert _same_bits(np.array(result["t"]), np.asarray(sd.t, dtype=float))
+    assert _same_bits(jsonio.matrix_from_json(result["u"]), sd.u.astype(complex))
+    assert _same_bits(jsonio.matrix_from_json(result["v"]), sd.v.astype(complex))
+
+
+def test_the_collector_resumes_after_the_op_is_freed(tmp_path, capsys, monkeypatch):
+    # Containers allocated while the collector is paused count towards its
+    # next pass; the op's lists must be gone by then, or that pass scans them.
+    (c_path, h_path, _), _ = _dense_inputs(tmp_path)
+    counts = []
+    enable = gc.enable
+
+    def spy():
+        counts.append(gc.get_count()[0])
+        enable()
+
+    monkeypatch.setattr(gc, "enable", spy)
+    assert gc.isenabled()
+    gc.collect()
+    assert cli.main(["gauge", "--input", c_path, "--input", h_path]) == 0
+    out = capsys.readouterr().out
+    assert len(counts) == 1 and gc.isenabled()
+    # the report alone holds 2 * 64 * 64 [re, im] lists
+    assert out.count("], [") > 8000 and counts[0] < 64 * 64
+
+
+@pytest.mark.parametrize("command", ["decompose", "jordan-spectral"])
+def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, command):
+    if command == "decompose":
+        path = _write(tmp_path, "w.json", {"rank": 1, "weights": [0, 1, 1]})  # report fits the buffer
+    else:
+        (_, _, path), _ = _dense_inputs(tmp_path)  # report is larger than a pipe holds
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "modulikit", command, "--input", path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=55, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
