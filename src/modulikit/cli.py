@@ -122,7 +122,7 @@ def _moment(args, rep):
     return 0, {
         "result": {
             "convention": args.convention,
-            "vertices": [jsonio.matrix_to_json(mu) for mu in mus],
+            "vertices": mus,
             "max_entry": worst,
         }
     }
@@ -133,8 +133,8 @@ def _jordan_spectral(args, z):
     return 0, {
         "result": {
             "t": [float(x) for x in sd.t],
-            "u": jsonio.matrix_to_json(sd.u),
-            "v": jsonio.matrix_to_json(sd.v),
+            "u": sd.u,
+            "v": sd.v,
         }
     }
 
@@ -158,7 +158,7 @@ COMMANDS = {
         "apply the involution (A, B) -> (-B*, -A*)",
         ("connection",),
         None,
-        lambda args, c: (0, {"result": jsonio.connection_to_json(connection.involution(c))}),
+        lambda args, c: (0, {"result": jsonio.connection_arrays(connection.involution(c))}),
     ),
     "hermitian": Command(
         "test whether connection data is an involution fixed point", ("connection",), "tol", _hermitian
@@ -167,7 +167,7 @@ COMMANDS = {
         "conjugate connection data by a centralizer element (two --input: data, gauge)",
         ("connection", "matrix"),
         "tol",
-        lambda args, c, h: (0, {"result": jsonio.connection_to_json(connection.gauge(c, h, tol=args.tol))}),
+        lambda args, c, h: (0, {"result": jsonio.connection_arrays(connection.gauge(c, h, tol=args.tol))}),
     ),
     "invariants": Command("cycle-word traces of a double-quiver representation", ("rep",), None, _invariants),
     "equiv": Command(
@@ -284,9 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         # name the subcommand whose options were misspelt
         args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     cmd = COMMANDS[args.command]
-    # The decoded matrices and the report are hundreds of thousands of
-    # small lists, none of them in a reference cycle, all alive until the
-    # report is written: collections would only scan them again and again.
+    # The decoded inputs are hundreds of thousands of small lists, none of
+    # them in a reference cycle, all alive until the report is built:
+    # collections would only scan them again and again.
     # The caller's collector state is restored on every way out.
     resume = gc.isenabled()
     gc.disable()

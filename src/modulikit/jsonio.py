@@ -3,7 +3,8 @@
 Complex scalars travel as ``[re, im]`` pairs; matrices as
 ``{"rows": N, "cols": M, "entries": [[re, im], ...]}`` in row-major
 order.  Reports are serialized with sorted keys so a fixed seed yields
-byte-identical output.
+byte-identical output.  A report may hold 2-D numpy arrays: ``dumps``
+writes each one as a matrix, straight from the array to text.
 """
 
 from __future__ import annotations
@@ -25,15 +26,43 @@ def complex_to_json(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _matrix(m: np.ndarray, entries) -> dict:
+    """The matrix wire object of ``m`` around its ``entries`` value."""
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
+
+
+def _parts(m: np.ndarray) -> np.ndarray:
+    """The ``(re, im)`` rows of ``m``'s entries in row-major order."""
+    return np.stack([m.real.ravel(), m.imag.ravel()], 1)
+
+
 def matrix_to_json(m) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": np.stack([m.real.ravel(), m.imag.ravel()], 1).tolist(),
-    }
+    return _matrix(m, _parts(m).tolist())
+
+
+# The text of a zero [re, im] pair, indexed by 2 * signbit(re) + signbit(im).
+_ZERO_PAIRS = np.array(["[0.0, 0.0]", "[0.0, -0.0]", "[-0.0, 0.0]", "[-0.0, -0.0]"], dtype=object)
+_NOT_FINITE = "result is not finite: floating-point overflow"
+
+
+def _entries_text(m: np.ndarray) -> str:
+    """``json.dumps`` of ``matrix_to_json(m)["entries"]``, written from the array.
+
+    A covariant connection puts each matrix on one weight shift, so most
+    entries of a report's matrices are exact zeros; their pairs are
+    constant strings, and only the others pass through ``float.__repr__``.
+    """
+    parts = _parts(m)
+    if not np.isfinite(parts).all():
+        raise ValueError(_NOT_FINITE)
+    pairs = _ZERO_PAIRS[np.signbit(parts).dot([2, 1])]
+    nonzero = np.flatnonzero(parts.any(axis=1))
+    re, im = parts[nonzero].T.tolist()
+    pairs[nonzero] = [f"[{a!r}, {b!r}]" for a, b in zip(re, im)]
+    return "[" + ", ".join(pairs.tolist()) + "]"
 
 
 def _require(cond: bool, message: str) -> None:
@@ -140,15 +169,35 @@ def _weight_data(d: WeightDecomposition) -> WeightData:
     return WeightData(rank=d.rank, weights=tuple(map(tuple, d.index_weights().tolist())))
 
 
-def connection_to_json(c: ConnectionData) -> dict:
-    """The ``{weights, A, B}`` shape at rank 1, the frame-tuple shape otherwise."""
+def _plain(value):
+    """``value`` with each numpy array in it replaced by its ``matrix_to_json``."""
+    if isinstance(value, np.ndarray):
+        return matrix_to_json(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+def connection_arrays(c: ConnectionData) -> dict:
+    """The ``{weights, A, B}`` shape at rank 1, the frame-tuple shape otherwise.
+
+    Its matrices stay numpy arrays, for a report that ``dumps`` writes;
+    ``connection_to_json`` is the same value in plain JSON types.
+    """
     if c.rank != 1:
-        return frame_tuple_to_json(c)
+        return _frame_tuple_arrays(c)
     return {
         "weights": weight_data_to_json(_weight_data(c.decomposition)),
-        "A": matrix_to_json(c.a_list[0]),
-        "B": matrix_to_json(c.b_list[0]),
+        "A": c.a_list[0],
+        "B": c.b_list[0],
     }
+
+
+def connection_to_json(c: ConnectionData) -> dict:
+    """The ``{weights, A, B}`` shape at rank 1, the frame-tuple shape otherwise."""
+    return _plain(connection_arrays(c))
 
 
 def connection_from_json(obj) -> ConnectionData:
@@ -167,15 +216,15 @@ def connection_from_json(obj) -> ConnectionData:
     )
 
 
-def frame_tuple_to_json(t: FrameTuple) -> dict:
-    out = {
-        "rank": t.rank,
-        "A_list": [matrix_to_json(a) for a in t.a_list],
-        "B_list": [matrix_to_json(b) for b in t.b_list],
-    }
+def _frame_tuple_arrays(t: FrameTuple) -> dict:
+    out = {"rank": t.rank, "A_list": list(t.a_list), "B_list": list(t.b_list)}
     if isinstance(t, ConnectionData):
         out["weights"] = weight_data_to_json(_weight_data(t.decomposition))
     return out
+
+
+def frame_tuple_to_json(t: FrameTuple) -> dict:
+    return _plain(_frame_tuple_arrays(t))
 
 
 def _matrix_list(value, path: str) -> tuple[np.ndarray, ...]:
@@ -237,11 +286,42 @@ def rep_from_json(obj) -> DoubleQuiverRep:
 
 
 def dumps(obj) -> str:
-    """Canonical JSON: sorted keys, no NaN/Inf, deterministic bytes."""
-    try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False)
-    except ValueError:
-        raise ValueError("result is not finite: floating-point overflow") from None
+    """Canonical JSON: sorted keys, no NaN/Inf, deterministic bytes.
+
+    A 2-D numpy array anywhere in ``obj`` is written as the matrix wire
+    object, byte for byte as ``matrix_to_json`` of it would be; an array
+    of another ndim raises TypeError.
+
+    ``json.dumps`` writes each array's ``entries`` as a mark string, which
+    is then replaced by the entries' text.  The quoted mark (``"\\u0000"``
+    for the mark ``"\\0"``) occurs once for each array.  Only a report
+    string or key that equals the mark, or ends in a double quote and the
+    mark, adds an occurrence: on a surplus the report is written again
+    with a longer mark.
+    """
+    mark = "\0"
+    while True:
+        arrays = []
+
+        def matrix(value):
+            if isinstance(value, np.ndarray) and value.ndim == 2:
+                arrays.append(np.asarray(value, dtype=complex))
+                return _matrix(value, mark)
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+        try:
+            text = json.dumps(obj, sort_keys=True, allow_nan=False, default=matrix)
+            if not arrays:
+                return text
+            pieces = text.split(json.dumps(mark))
+            if len(pieces) == len(arrays) + 1:
+                out = [pieces[0]]
+                for m, piece in zip(arrays, pieces[1:]):
+                    out += (_entries_text(m), piece)
+                return "".join(out)
+        except ValueError:
+            raise ValueError(_NOT_FINITE) from None
+        mark += "\0"
 
 
 def loads_path(path: str):

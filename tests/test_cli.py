@@ -620,15 +620,26 @@ def test_the_callers_collector_state_survives_main(tmp_path, capsys, monkeypatch
     capsys.readouterr()
 
 
+def _dense_connection(rng, w):
+    """Connection data over the integer weights ``w`` (n x r), random on every allowed entry."""
+    n, r = w.shape
+    shift = w[:, None, :] - w[None, :, :]
+    e = np.eye(r, dtype=int)
+
+    def on(mask):
+        return np.where(mask, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0)
+
+    return connection.ConnectionData(
+        decomposition=weights.decompose(weights.WeightData(rank=r, weights=tuple(map(tuple, w.tolist())))),
+        a_list=tuple(on((shift == e[i]).all(-1)) for i in range(r)),
+        b_list=tuple(on((shift == -e[i]).all(-1)) for i in range(r)),
+    )
+
+
 def _dense_inputs(tmp_path, n=64):
     """Seeded rank-1 connection data on 16 weight levels, a centralizer element and a dense matrix."""
     rng = np.random.default_rng(6401)
-    w = np.arange(n) % 16
-    up = w[:, None] - w[None, :] == 1
-    z = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-    c = connection.ConnectionData(
-        decomposition=_decomp(w.tolist()), a_list=(np.where(up, z[0], 0),), b_list=(np.where(up.T, z[1], 0),)
-    )
+    c = _dense_connection(rng, (np.arange(n) % 16)[:, None])
     h = weights.sample_commutant(c.decomposition, seed=6402)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     paths = [_write(tmp_path, name, obj) for name, obj in
@@ -641,25 +652,66 @@ def _same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def _canonical_out(capsys, argv):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, allow_nan=False) + "\n"
+    return out
+
+
 def test_large_reports_keep_the_canonical_encoding(tmp_path, capsys):
     (c_path, h_path, m_path), (c_obj, h_obj, m_obj) = _dense_inputs(tmp_path)
     c, h, m = jsonio.connection_from_json(c_obj), jsonio.matrix_from_json(h_obj), jsonio.matrix_from_json(m_obj)
+    grid = np.arange(64)
+    c2 = _dense_connection(np.random.default_rng(6403), np.stack([grid % 4, grid // 4 % 4], 1))
+    h2 = weights.sample_commutant(c2.decomposition, seed=6404)
+    c2_path = _write(tmp_path, "c2.json", jsonio.connection_to_json(c2))
+    h2_path = _write(tmp_path, "h2.json", jsonio.matrix_to_json(h2))
 
-    outputs = {}
-    for argv in (["gauge", "--input", c_path, "--input", h_path], ["jordan-spectral", "--input", m_path]):
-        assert cli.main(argv) == 0
-        out = capsys.readouterr().out
-        assert out == json.dumps(json.loads(out), sort_keys=True, allow_nan=False) + "\n"
-        outputs[argv[0]] = json.loads(out)["result"]
+    runs = {
+        "gauge": (["gauge", "--input", c_path, "--input", h_path], connection.gauge(c, h)),
+        # -B* and -A* turn every exact zero into the pair [-0.0, 0.0]
+        "involute": (["involute", "--input", c_path], connection.involution(c)),
+        # rank 2 takes the A_list/B_list shape
+        "gauge-rank2": (["gauge", "--input", c2_path, "--input", h2_path], connection.gauge(c2, h2)),
+    }
+    for name, (argv, want) in runs.items():
+        out = _canonical_out(capsys, argv)
+        got = jsonio.connection_from_json(json.loads(out)["result"])
+        assert got.rank == want.rank and ("A_list" in out) == (want.rank == 2)
+        assert all(map(_same_bits, got.a_list + got.b_list, want.a_list + want.b_list)), name
+        if name == "involute":
+            assert out.count("[-0.0, 0.0]") == 2 * (64 * 64 - 15 * 4 * 4)
 
-    want = connection.gauge(c, h)
-    got = jsonio.connection_from_json(outputs["gauge"])
-    assert _same_bits(got.a_list[0], want.a_list[0]) and _same_bits(got.b_list[0], want.b_list[0])
+    result = json.loads(_canonical_out(capsys, ["jordan-spectral", "--input", m_path]))["result"]
     sd = jordan.spectral(m)
-    result = outputs["jordan-spectral"]
     assert _same_bits(np.array(result["t"]), np.asarray(sd.t, dtype=float))
     assert _same_bits(jsonio.matrix_from_json(result["u"]), sd.u.astype(complex))
     assert _same_bits(jsonio.matrix_from_json(result["v"]), sd.v.astype(complex))
+
+
+def test_matrix_reports_build_no_pair_lists(tmp_path, capsys, monkeypatch):
+    # arrays go to dumps as they are: a report that falls back to the
+    # [re, im] lists of matrix_to_json would still print the same bytes
+    (c_path, h_path, m_path), (c_obj, _, _) = _dense_inputs(tmp_path)
+    rep = quiver.from_connection(jsonio.connection_from_json(c_obj))
+    rep_path = _write(tmp_path, "rep.json", jsonio.rep_to_json(rep))
+    argvs = [
+        ["gauge", "--input", c_path, "--input", h_path],
+        ["involute", "--input", c_path],
+        ["jordan-spectral", "--input", m_path],
+        ["moment", "--input", rep_path, "--convention", "standard"],
+    ]
+    outs = [_canonical_out(capsys, argv) for argv in argvs]
+
+    def refuse(*_):
+        raise AssertionError("a report was built from [re, im] lists")
+
+    monkeypatch.setattr(jsonio, "matrix_to_json", refuse)
+    monkeypatch.setattr(jsonio, "complex_to_json", refuse)
+    for argv, out in zip(argvs, outs):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_the_collector_resumes_after_the_op_is_freed(tmp_path, capsys, monkeypatch):
@@ -679,7 +731,7 @@ def test_the_collector_resumes_after_the_op_is_freed(tmp_path, capsys, monkeypat
     assert cli.main(["gauge", "--input", c_path, "--input", h_path]) == 0
     out = capsys.readouterr().out
     assert len(counts) == 1 and gc.isenabled()
-    # the report alone holds 2 * 64 * 64 [re, im] lists
+    # the report text holds 2 * 64 * 64 [re, im] pairs
     assert out.count("], [") > 8000 and counts[0] < 64 * 64
 
 

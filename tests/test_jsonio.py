@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from modulikit import connection, jsonio, quiver, weights
+from modulikit import connection, jordan, jsonio, quiver, weights
 
 
 def _decomp(vals):
@@ -293,3 +293,95 @@ def test_loads_path(tmp_path):
     p.write_text(jsonio.dumps(jsonio.matrix_to_json(np.eye(2))), encoding="utf-8")
     m = jsonio.matrix_from_json(jsonio.loads_path(str(p)))
     assert np.array_equal(m, np.eye(2))
+
+
+# --- dumps: arrays in a report are written as matrices ---------------------------------
+
+_EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 3e-4, 0.1, 1e16, 1e22, 1e308]
+_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (7, 3), (4, 4)]
+
+
+def _reference(value):
+    """json.dumps of ``value`` with each array replaced by ``matrix_to_json`` of it."""
+    def plain(v):
+        if isinstance(v, np.ndarray):
+            return jsonio.matrix_to_json(v)
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return [plain(x) for x in v] if isinstance(v, list) else v
+
+    return json.dumps(plain(value), sort_keys=True, allow_nan=False)
+
+
+def _edge_matrix(rng, shape):
+    """Parts drawn from the edge values with either sign, over half of them zero."""
+    m = np.empty(shape, dtype=complex)
+    for part in ("real", "imag"):
+        values = rng.choice(_EDGES, shape) * (rng.random(shape) < 0.4)
+        setattr(m, part, np.where(rng.random(shape) < 0.5, -values, values))
+    return m
+
+
+def test_dumps_writes_arrays_as_their_matrix_json():
+    rng = np.random.default_rng(1707)
+    for k in range(400):
+        m = _edge_matrix(rng, _SHAPES[k % len(_SHAPES)])
+        assert jsonio.dumps(m) == _reference(m)
+    zeros = np.array([[0.0, -0.0], [complex(-0.0, 0.0), complex(-0.0, -0.0)]], dtype=complex)
+    zeros[0, 1] = complex(0.0, -0.0)
+    assert jsonio.dumps(zeros) == (
+        '{"cols": 2, "entries": [[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]], "rows": 2}'
+    )
+
+
+def test_dumps_takes_views_read_only_and_real_arrays():
+    rng = np.random.default_rng(1708)
+    m = _edge_matrix(rng, (5, 6))
+    sd = jordan.spectral(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+    assert not sd.u.flags.writeable
+    real = rng.standard_normal((3, 4))
+    real[0] = -0.0
+    views = [m.T, m[::2, 1::3], m[:, ::-1], sd.u, sd.v, real, real.T, m.real, m.imag.T, np.arange(6).reshape(2, 3)]
+    for v in views:
+        assert jsonio.dumps(v) == _reference(v)
+    report = {"views": views, "t": sd.t.tolist()}
+    assert jsonio.dumps(report) == _reference(report)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)], ids=repr)
+def test_dumps_rejects_non_finite_entries(bad):
+    m = np.zeros((2, 3), dtype=complex)
+    m[1, 2] = bad
+    reports = [m, {"a": [m.T]}] + ([] if isinstance(bad, complex) else [np.full((1, 2), bad)])
+    for report in reports:
+        with pytest.raises(ValueError, match="^result is not finite: floating-point overflow$"):
+            jsonio.dumps(report)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_dumps_rejects_arrays_that_are_not_matrices(shape):
+    with pytest.raises(TypeError):
+        jsonio.dumps({"x": np.zeros(shape)})
+
+
+def test_dumps_mark_collisions():
+    m = _edge_matrix(np.random.default_rng(1709), (3, 4))
+    reports = [
+        {"\0": m, "label": "\0"},
+        {"entries": "entries", "x": [m, "\0", m.T], "\0\0": {"\0": "\0\0", "m": m}},
+        {'q"\0': 'r"\0', "s": 'x"\0\0', "m": [m, [m]]},
+        {"\0" * k: "\0" * (k + 1) for k in range(1, 6)} | {"m": m},
+        ["\0", m, "\\u0000", '"\\u0000"', "entries"],
+    ]
+    for report in reports:
+        assert jsonio.dumps(report) == _reference(report)
+
+
+def test_dumps_without_arrays_is_one_json_dumps_call(monkeypatch):
+    report = {"b": 1, "a": [1.5, -2.0], "\0": "\0"}
+    want = _reference(report)
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(1) or dumps(*a, **k))
+    assert jsonio.dumps(report) == want
+    assert len(calls) == 1
