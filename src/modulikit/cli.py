@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import connection, jordan, jsonio, quiver, selftest, weights
+from . import jsonio
 from .errors import ModulikitError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, MOMENT_CONVENTIONS
 
 SEED_ENV_VAR = "MODULIKIT_SEED"
 
@@ -37,7 +37,9 @@ class Command:
     under which the report's ``tolerances_used`` records ``--tol``, or
     None when the command takes no tolerance.  ``run(args, *decoded)``
     returns the exit code and the report fields; the fields may override
-    the default ``violations`` and ``tolerances_used``.
+    the default ``violations`` and ``tolerances_used``.  Each ``run``
+    imports the kernel module it calls, so that a one-shot call compiles
+    and runs only its own command's layer.
     """
 
     help: str
@@ -66,6 +68,8 @@ def _exit(ok: bool) -> int:
 
 
 def _decompose(args, w):
+    from . import weights
+
     d = weights.decompose(w)
     blocks = [{"weight": list(b.weight), "indices": list(b.indices)} for b in d.blocks]
     chain_rows = None
@@ -78,6 +82,8 @@ def _decompose(args, w):
 
 
 def _validate(args, c):
+    from . import connection
+
     report = connection.validate_covariance(c, tol=args.tol, seed=args.seed)
     return _exit(report.ok), {
         "result": "pass" if report.ok else "fail",
@@ -88,6 +94,8 @@ def _validate(args, c):
 
 
 def _pure(args, t):
+    from . import connection
+
     result = connection.is_pure(t, tol=args.tol)
     return _exit(result.pure), {
         "result": bool(result.pure),
@@ -95,18 +103,36 @@ def _pure(args, t):
     }
 
 
+def _involute(args, c):
+    from . import connection
+
+    return 0, {"result": jsonio.connection_arrays(connection.involution(c))}
+
+
 def _hermitian(args, c):
+    from . import connection
+
     verdict = connection.is_hermitian(c, tol=args.tol)
     return _exit(verdict), {"result": bool(verdict)}
 
 
+def _gauge(args, c, h):
+    from . import connection
+
+    return 0, {"result": jsonio.connection_arrays(connection.gauge(c, h, tol=args.tol))}
+
+
 def _invariants(args, rep):
+    from . import quiver
+
     vec = quiver.invariants(rep, max_len=args.max_len)
     entries = {",".join(word): jsonio.complex_to_json(t) for word, t in vec.entries.items()}
     return 0, {"result": {"max_len": vec.max_len, "entries": entries}}
 
 
 def _equiv(args, r1, r2):
+    from . import quiver
+
     cert = quiver.equivalence_certificate(r1, r2, max_len=args.max_len, tol=args.tol)
     payload = {"verdict": cert.verdict, "max_len": cert.max_len}
     if cert.distinct:
@@ -117,6 +143,8 @@ def _equiv(args, r1, r2):
 
 
 def _moment(args, rep):
+    from . import quiver
+
     mus = quiver.moment_map(rep, convention=args.convention)
     worst = max((float(np.max(np.abs(mu))) for mu in mus if mu.size), default=0.0)
     return 0, {
@@ -129,6 +157,8 @@ def _moment(args, rep):
 
 
 def _jordan_spectral(args, z):
+    from . import jordan
+
     sd = jordan.spectral(z)
     return 0, {
         "result": {
@@ -140,6 +170,8 @@ def _jordan_spectral(args, z):
 
 
 def _selftest(args):
+    from . import selftest
+
     report = selftest.run_properties(seed=args.seed)
     report["violations"] = report.pop("failed")
     report["tolerances_used"] = {"default": DEFAULT_TOL}
@@ -154,12 +186,7 @@ COMMANDS = {
         "structural and sampled covariance check of connection data", ("connection",), "tol", _validate
     ),
     "pure": Command("commutator purity of a frame tuple", ("frame_tuple",), "tol", _pure),
-    "involute": Command(
-        "apply the involution (A, B) -> (-B*, -A*)",
-        ("connection",),
-        None,
-        lambda args, c: (0, {"result": jsonio.connection_arrays(connection.involution(c))}),
-    ),
+    "involute": Command("apply the involution (A, B) -> (-B*, -A*)", ("connection",), None, _involute),
     "hermitian": Command(
         "test whether connection data is an involution fixed point", ("connection",), "tol", _hermitian
     ),
@@ -167,7 +194,7 @@ COMMANDS = {
         "conjugate connection data by a centralizer element (two --input: data, gauge)",
         ("connection", "matrix"),
         "tol",
-        lambda args, c, h: (0, {"result": jsonio.connection_arrays(connection.gauge(c, h, tol=args.tol))}),
+        _gauge,
     ),
     "invariants": Command("cycle-word traces of a double-quiver representation", ("rep",), None, _invariants),
     "equiv": Command(
@@ -216,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-len", type=int, default=None, help="cycle length bound (>= 1)")
         p.add_argument(
             "--convention",
-            choices=quiver.MOMENT_CONVENTIONS,
+            choices=MOMENT_CONVENTIONS,
             default="paper",
             help="moment map convention",
         )

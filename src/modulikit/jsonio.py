@@ -13,12 +13,15 @@ import itertools
 import json
 import math
 import numbers
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .connection import ConnectionData, FrameTuple
-from .quiver import Arrow, DoubleQuiver, DoubleQuiverRep
 from .weights import WeightData, WeightDecomposition, decompose
+
+if TYPE_CHECKING:  # rep_from_json imports quiver when it runs
+    from .quiver import DoubleQuiverRep
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -264,6 +267,8 @@ def rep_from_json(obj) -> DoubleQuiverRep:
     any other label ``X`` with ``X_op``) and rejects an arrow that is not
     in exactly one orientation-reversed pair.
     """
+    from .quiver import Arrow, DoubleQuiver, DoubleQuiverRep
+
     _require(isinstance(obj, dict), "representation must be a JSON object")
     _require(
         set(obj) >= {"vertices", "arrows", "matrices"},

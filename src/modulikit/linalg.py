@@ -28,6 +28,9 @@ from .errors import (
 
 # Default relative tolerance for pass/fail decisions.
 DEFAULT_TOL = 1e-10
+# The moment map conventions of ``quiver.moment_map``, kept here so that the
+# command-line parser can offer them without importing ``quiver``.
+MOMENT_CONVENTIONS = ("paper", "standard")
 # Least scale ``relative`` divides by: the smallest normal double, so only a
 # zero (or subnormal) scale is floored; roundoff itself is relative.
 ABS_FLOOR = sys.float_info.min

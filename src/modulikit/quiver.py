@@ -34,10 +34,9 @@ from .errors import (
     DimensionMismatchError,
     QuiverMismatchError,
 )
-from .linalg import DEFAULT_TOL, as_matrix, invert, relative
+from .linalg import DEFAULT_TOL, MOMENT_CONVENTIONS, as_matrix, invert, relative
 from .weights import WeightDecomposition
 
-MOMENT_CONVENTIONS = ("paper", "standard")
 # Cap applied to the default cycle length min(N^2, MAX_LEN_CAP).
 MAX_LEN_CAP = 12
 # Budget of words the cycle search may visit (keep in a level as closable

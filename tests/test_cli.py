@@ -340,8 +340,13 @@ def test_usage_error_exits_nonzero(capsys):
             ["decompose", "--input", "w.json", "--bogus"],
             "error: modulikit decompose: unrecognized arguments: --bogus",
         ),
+        (
+            ["moment", "--input", "r.json", "--convention", "bogus"],
+            "error: modulikit moment: argument --convention: invalid choice: 'bogus' "
+            "(choose from 'paper', 'standard')\n",
+        ),
     ],
-    ids=["missing-input", "tol-abc", "unknown-command", "unknown-flag"],
+    ids=["missing-input", "tol-abc", "unknown-command", "unknown-flag", "convention-bogus"],
 )
 def test_usage_errors_are_one_line_exit_2(capsys, argv, names):
     with pytest.raises(SystemExit) as exc:

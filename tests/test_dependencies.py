@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from util import run_fresh
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,11 +22,7 @@ def test_import_and_invert_load_numpy_only():
         "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
         "print(sorted(new - sys.stdlib_module_names))\n"
     )
-    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, timeout=55, env={**os.environ, "PYTHONPATH": path},
-    )
+    run = run_fresh(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "['modulikit', 'numpy']\n"
 

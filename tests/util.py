@@ -9,11 +9,27 @@ error bounds are meaningful.  The matrix samplers are the library's own
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from modulikit import quiver
 from modulikit._sampling import cnormal, unit_disk, unitary, well_conditioned
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's modulikit."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=55, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def disk_invertible(rng, n, bound=1e3):
