@@ -68,7 +68,6 @@ _EXPORTS = {
         "commutant_contains",
         "commutant_dim",
         "decompose",
-        "f_of",
         "sample_commutant",
     ),
 }

@@ -320,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, out = _report(args, cmd)
         _emit(out)
-    except (ModulikitError, ValueError, OSError, KeyError) as exc:
+    except (ModulikitError, ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

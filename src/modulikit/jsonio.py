@@ -262,7 +262,8 @@ def rep_to_json(rep: DoubleQuiverRep) -> dict:
 def rep_from_json(obj) -> DoubleQuiverRep:
     """Load a double-quiver representation.
 
-    Labels must be JSON strings.  DoubleQuiver pairs the arrows by the
+    Labels must be JSON strings with no comma, since a report joins the
+    labels of a word with commas.  DoubleQuiver pairs the arrows by the
     rule of :func:`modulikit.quiver.double` (``A<rest>`` with ``B<rest>``,
     any other label ``X`` with ``X_op``) and rejects an arrow that is not
     in exactly one orientation-reversed pair.
@@ -282,7 +283,9 @@ def rep_from_json(obj) -> DoubleQuiverRep:
             f"arrows[{k}] needs tail, head, label",
         )
         tail, head = _int(entry["tail"], f"arrows[{k}].tail"), _int(entry["head"], f"arrows[{k}].head")
-        arrows.append(Arrow(tail=tail, head=head, label=entry["label"]))
+        label = entry["label"]
+        _require(not (isinstance(label, str) and "," in label), f"arrows[{k}].label must not contain ','")
+        arrows.append(Arrow(tail=tail, head=head, label=label))
     quiver = DoubleQuiver(dims=dims, arrows=tuple(arrows))
     mats = obj["matrices"]
     _require(isinstance(mats, dict), "matrices must be a JSON object")

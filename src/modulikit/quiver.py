@@ -121,12 +121,6 @@ class DoubleQuiver(Quiver):
         object.__setattr__(self, "by_label", by_label)
         object.__setattr__(self, "opposites", table)
 
-    def opposite(self, label: str) -> str:
-        return self.opposites[label]
-
-    def arrow(self, label: str) -> Arrow:
-        return self.by_label[label]
-
     @property
     def originals(self) -> tuple[Arrow, ...]:
         return tuple(self.by_label[orig] for orig, _ in self.pairs)
@@ -253,7 +247,7 @@ def moment_map(rep: DoubleQuiverRep, convention: str = "paper") -> list[np.ndarr
     out = [np.zeros((d, d), dtype=complex) for d in dq.dims]
     for a in arrows:
         x = rep.matrices[a.label]
-        xbar = rep.matrices[dq.opposite(a.label)]
+        xbar = rep.matrices[dq.opposites[a.label]]
         out[a.head] += x @ xbar
         out[a.tail] -= xbar @ x
     return out
@@ -305,10 +299,10 @@ def _finite(word: tuple[str, ...], trace: complex) -> complex:
     return trace
 
 
-def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple, event=None) -> list:
+def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple):
     """Canonical closed walks of length <= max_len with the traces of ``reps`` along them.
 
-    Returns ``(word, traces)`` pairs in shortlex order of ``word``,
+    Yields ``(word, traces)`` pairs in shortlex order of ``word``,
     ``traces[i]`` being the trace of ``reps[i]`` along it.  The search is
     a prenecklace search (Cattell, Ruskey, Sawada, Serra, Miers,
     J. Algorithms 37, 2000) restricted to walks: a word of length ``t``
@@ -336,14 +330,14 @@ def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple, event=None) -> li
     dimension, ``below`` holding the products along the level before, and
     one batched ``np.trace`` per square shape.  These are the products of
     :func:`cycle_trace` in its order, and the traces equal its traces bit
-    for bit.  The search keeps two levels of words and products; visiting
-    more than ``MAX_CYCLE_WORDS`` words, counted in shortlex order, raises
-    ValueError, so neither holds more words than that.
+    for bit.  The search keeps two levels of words and products, and it
+    builds a level only when its consumer asks for more walks:
+    :func:`equivalence_certificate`, which stops at its witness, never
+    builds a level past it.
 
-    With ``event``, the search stops at the shortlex-first walk whose
-    traces satisfy ``event(traces)`` and returns it as a one-pair list
-    (an empty one if there is none).  Its level counts against the budget
-    only up to that walk.
+    At most ``MAX_CYCLE_WORDS`` words are visited, counted in shortlex
+    order: the level that crosses the budget is cut there, the walks among
+    its first words are yielded, and then ValueError is raised.
     """
     by_label, dims = dq.by_label, dq.dims
     head = {x: a.head for x, a in by_label.items()}
@@ -382,39 +376,39 @@ def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple, event=None) -> li
         return stores, new
 
     # level 0 holds the empty walk at each vertex, row v at vertex v, with
-    # the identity as its product
-    stores = {(d, d): [np.eye(d, dtype=complex)[None]] * len(reps) for d in set(dims)}
+    # the identity as its product; a walk starts only where an arrow
+    # leaves, so a vertex with no arrows costs no identity
+    starts = {dims[a.tail] for a in dq.arrows}
+    stores = {(d, d): [np.eye(d, dtype=complex)[None]] * len(reps) for d in starts}
     level = [
         ((x,), 1, a.tail, a.head, a.tail) for x, a in sorted(by_label.items()) if back[a.tail][a.head] < max_len
     ]
-    place, found, visited, t = [0] * len(dims), [], 0, 1
-    # an overflow surfaces as a non-finite trace, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        while level:
-            over = visited + len(level) > MAX_CYCLE_WORDS
-            if over and event is None:
-                raise ValueError(f"cycle search at max_len {max_len} exceeds {MAX_CYCLE_WORDS} words")
-            if over:
-                # only the words that come before the budget runs out
-                level = level[: MAX_CYCLE_WORDS - visited]
-            visited += len(level)
-            final, left = over or t == max_len, max_len - t - 1
-            closed, kids, groups = [], [], {}
-            for i, (word, p, start, here, _) in enumerate(level):
-                # only a closed word or a parent needs its products
-                need = here == start and t % p == 0
-                if need:
-                    closed.append(i)
-                if not final:
-                    floor, hops = word[t - p], back[start]
-                    for x in outs[here]:
-                        if x >= floor and hops[head[x]] <= left:
-                            kids.append((word + (x,), p if x == floor else t + 1, start, head[x], i))
-                            need = True
-                if need and reps:
-                    groups.setdefault((word[-1], dims[start]), []).append(i)
-            traces = [()] * len(closed)
-            if reps:
+    place, visited, t = [0] * len(dims), 0, 1
+    while level:
+        over = visited + len(level) > MAX_CYCLE_WORDS
+        if over:
+            # only the words that come before the budget runs out
+            level = level[: MAX_CYCLE_WORDS - visited]
+        visited += len(level)
+        final, left = over or t == max_len, max_len - t - 1
+        closed, kids, groups = [], [], {}
+        for i, (word, p, start, here, _) in enumerate(level):
+            # only a closed word or a parent needs its products
+            need = here == start and t % p == 0
+            if need:
+                closed.append(i)
+            if not final:
+                floor, hops = word[t - p], back[start]
+                for x in outs[here]:
+                    if x >= floor and hops[head[x]] <= left:
+                        kids.append((word + (x,), p if x == floor else t + 1, start, head[x], i))
+                        need = True
+            if need and reps:
+                groups.setdefault((word[-1], dims[start]), []).append(i)
+        traces = [()] * len(closed)
+        if reps:
+            # an overflow surfaces as a non-finite trace, not as warnings
+            with np.errstate(over="ignore", invalid="ignore"):
                 stores, place = products(stores, place, level, groups)
                 sums, traces = {}, []
                 for i in closed:
@@ -422,17 +416,10 @@ def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple, event=None) -> li
                     if n not in sums:
                         sums[n] = [out.trace(axis1=1, axis2=2).tolist() for out in stores[n, n]]
                     traces.append(tuple([col[place[i]] for col in sums[n]]))
-            walks = zip((level[i][0] for i in closed), traces)
-            if event is None:
-                found += walks
-            else:
-                for walk in walks:
-                    if event(walk[1]):
-                        return [walk]
-            if over:
-                raise ValueError(f"cycle search at max_len {max_len} exceeds {MAX_CYCLE_WORDS} words")
-            level, t = kids, t + 1
-    return found
+        yield from zip((level[i][0] for i in closed), traces)
+        if over:
+            raise ValueError(f"cycle search at max_len {max_len} exceeds {MAX_CYCLE_WORDS} words")
+        level, t = kids, t + 1
 
 
 def enumerate_cycles(dq: DoubleQuiver, max_len: int) -> list[tuple[str, ...]]:
@@ -465,12 +452,12 @@ class InvariantVector:
 def cycle_trace(rep: DoubleQuiverRep, word: tuple[str, ...]) -> complex:
     """Trace of the matrix product along a closed path given by arrow labels."""
     dq = rep.quiver
-    first = dq.arrow(word[0])
+    first = dq.by_label[word[0]]
     m = np.eye(dq.dims[first.tail], dtype=complex)
     here = first.tail
     with np.errstate(over="ignore", invalid="ignore"):
         for label in word:
-            a = dq.arrow(label)
+            a = dq.by_label[label]
             if a.tail != here:
                 raise ValueError(f"word {word} is not a path at label {label}")
             m = rep.matrices[label] @ m
@@ -493,7 +480,7 @@ def invariants(rep: DoubleQuiverRep, max_len: int | None = None) -> InvariantVec
     """
     if max_len is None:
         max_len = default_max_len(rep)
-    walks = _closed_walks(rep.quiver, max_len, (rep,))
+    walks = list(_closed_walks(rep.quiver, max_len, (rep,)))
     return InvariantVector(
         max_len=max_len,
         entries={word: _finite(word, trace) for word, (trace,) in walks},
@@ -542,23 +529,17 @@ def equivalence_certificate(
     if max_len is None:
         max_len = default_max_len(r1)
 
-    def differs(traces):
-        t1, t2 = traces
-        if not (cmath.isfinite(t1) and cmath.isfinite(t2)):
-            return True
-        return not relative(abs(t1 - t2), max(abs(t1), abs(t2), 1.0)) <= tol
-
-    events = _closed_walks(r1.quiver, max_len, (r1, r2), event=differs)
-    if not events:
-        return EquivalenceCertificate(verdict="indistinguishable", max_len=max_len)
-    [(word, (t1, t2))] = events
-    return EquivalenceCertificate(
-        verdict="distinct",
-        max_len=max_len,
-        witness=word,
-        left_trace=_finite(word, t1),
-        right_trace=_finite(word, t2),
-    )
+    for word, (t1, t2) in _closed_walks(r1.quiver, max_len, (r1, r2)):
+        finite = cmath.isfinite(t1) and cmath.isfinite(t2)
+        if not (finite and relative(abs(t1 - t2), max(abs(t1), abs(t2), 1.0)) <= tol):
+            return EquivalenceCertificate(
+                verdict="distinct",
+                max_len=max_len,
+                witness=word,
+                left_trace=_finite(word, t1),
+                right_trace=_finite(word, t2),
+            )
+    return EquivalenceCertificate(verdict="indistinguishable", max_len=max_len)
 
 
 def invariant_distance(v1: InvariantVector, v2: InvariantVector) -> float:

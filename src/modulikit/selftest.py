@@ -194,7 +194,7 @@ def _prop_commutant_commutes(rng, samples):
             worst = max(worst, 1.0)
         for _ in range(4):
             tau = complex(np.exp(2j * np.pi * rng.uniform()))
-            f = weights.f_of(d, tau)
+            f = np.diag(weights.phase_vector(d, tau))
             worst = max(worst, _rel(f @ h - h @ f, linalg.frob(h)))
     return worst, 1e-10
 

@@ -153,21 +153,16 @@ def _tau_vector(d: WeightDecomposition, tau) -> np.ndarray:
 
 
 def phase_vector(d: WeightDecomposition, tau) -> np.ndarray:
-    """Diagonal of the torus action: entry ``i`` is ``prod_k tau_k**m[i][k]``."""
+    """Diagonal of the torus action: entry ``i`` is ``prod_k tau_k**m[i][k]``.
+
+    Each tau component must be unit modulus within ``UNIT_MODULUS_TOL``.
+    """
     taus = _tau_vector(d, tau)
     out = np.ones(d.dim, dtype=complex)
     for block in d.blocks:
         val = complex(np.prod(taus ** np.array(block.weight, dtype=int)))
         out[list(block.indices)] = val
     return out
-
-
-def f_of(d: WeightDecomposition, tau) -> np.ndarray:
-    """Diagonal matrix of the torus element ``tau`` acting on the grading.
-
-    Each tau component must be unit modulus within ``UNIT_MODULUS_TOL``.
-    """
-    return np.diag(phase_vector(d, tau))
 
 
 def commutant_contains(d: WeightDecomposition, h, tol: float = DEFAULT_TOL) -> bool:

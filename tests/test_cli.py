@@ -439,6 +439,14 @@ def _labelled_scalar_rep(first, second):
     return obj
 
 
+# "X,X" and ("X", "X") would both be written as the report key "X,X"
+_COMMA_LABELS = {
+    "vertices": [1],
+    "arrows": [{"tail": 0, "head": 0, "label": x} for x in ("X", "X_op", "X,X", "X,X_op")],
+    "matrices": {x: _ONE for x in ("X", "X_op", "X,X", "X,X_op")},
+}
+
+
 @pytest.mark.parametrize(
     "command, payload, names",
     [
@@ -468,6 +476,7 @@ def _labelled_scalar_rep(first, second):
         ("invariants", _labelled_scalar_rep(True, "True_op"), "arrows[0].label must be a string, got True"),
         ("invariants", _labelled_scalar_rep("A1", {}), "arrows[1].label must be a string, got {}"),
         ("invariants", _with(_scalar_rep_json(2.0, 3.0), ["arrows", 1], {"tail": 1, "head": 0}), "arrows[1] needs tail, head, label"),
+        ("invariants", _COMMA_LABELS, "error: arrows[2].label must not contain ','\n"),
         ("validate", _with(_PASS, ["B", "entries"], _PASS["B"]["entries"][:-1]), "B.entries: expected 16 entries, got 15"),
         ("validate", _with(_PASS, ["A"], 5), "A must be a JSON object"),
         ("validate", _with(_PASS, ["B"], {"rows": 4, "cols": 4}), "B needs rows, cols, entries"),
@@ -484,6 +493,7 @@ def _labelled_scalar_rep(first, second):
         "entry-null", "entry-list", "entry-object", "entry-2**1100", "entry-bool-string",
         "invariants-overflow", "moment-overflow",
         "label-int", "label-null", "label-bool", "label-object", "arrow-no-label",
+        "label-comma",
         "B-entry-missing", "A-not-object", "B-no-entries", "A-negative-rows",
         "weights-empty", "decompose-weights-empty", "matrix-not-object",
         "frame-tuple-no-weights",
@@ -507,6 +517,37 @@ def test_cycle_search_past_its_budget_exits_2(tmp_path, capsys):
     assert code == 2 and report is None
     assert err.startswith("error:") and err.count("\n") == 1
     assert "max_len 40" in err and "Traceback" not in err
+
+
+def _idle_vertex_rep_json():
+    # vertex 0 has no arrows; an array of its dimension squared would need
+    # 142 PiB, which numpy refuses at once
+    dq = quiver.DoubleQuiver(
+        dims=(10**8, 1), arrows=(quiver.Arrow(1, 1, "A1"), quiver.Arrow(1, 1, "B1"))
+    )
+    rep = quiver.DoubleQuiverRep(quiver=dq, matrices={"A1": [[2.0]], "B1": [[3.0]]})
+    return jsonio.rep_to_json(rep)
+
+
+def test_a_vertex_with_no_arrows_costs_nothing(tmp_path, capsys):
+    path = _write(tmp_path, "idle.json", _idle_vertex_rep_json())
+    code, report, err = _run(capsys, ["invariants", "--input", path, "--max-len", "2"])
+    assert code == 0 and err == ""
+    assert report["result"]["entries"] == {
+        "A1": [2.0, 0.0], "B1": [3.0, 0.0], "A1,A1": [4.0, 0.0], "A1,B1": [6.0, 0.0], "B1,B1": [9.0, 0.0],
+    }
+    code, report, err = _run(capsys, ["equiv", "--input", path, "--input", path])
+    assert code == 0 and err == ""
+    assert report["result"] == {"verdict": "indistinguishable", "max_len": 12}
+
+
+def test_running_out_of_memory_exits_2(tmp_path, capsys):
+    # the moment map holds one matrix per vertex, so it allocates the 142 PiB
+    path = _write(tmp_path, "idle.json", _idle_vertex_rep_json())
+    code, report, err = _run(capsys, ["moment", "--input", path])
+    assert code == 2 and report is None
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert "allocate" in err
 
 
 def test_equiv_answers_at_the_shortest_differing_length(tmp_path, capsys):

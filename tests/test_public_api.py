@@ -40,7 +40,6 @@ PUBLIC = [
     "enumerate_cycles",
     "equivalence_certificate",
     "errors",
-    "f_of",
     "field_bracket",
     "from_connection",
     "gauge",

@@ -15,7 +15,7 @@ from modulikit.errors import (
     DimensionMismatchError,
     QuiverMismatchError,
 )
-from util import brute_cycles, disk_invertible, rel_err
+from util import brute_cycles, disk_invertible, pattern_connection, rel_err
 
 SEED = 90210
 
@@ -30,22 +30,6 @@ def _chain_double(vals):
 
 # the commuting square: weights (0,0), (1,0), (0,1) and (1,1) twice
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1), (1, 1)]
-
-
-def _pattern_connection(rng, d):
-    """Random connection data over ``d``, nonzero on every allowed entry."""
-    shifts = d.shifts()
-    unit = np.eye(d.rank, dtype=np.int64)
-
-    def draw(target):
-        on = (shifts == target).all(axis=-1)
-        return np.where(on, rng.standard_normal(on.shape) + 1j * rng.standard_normal(on.shape), 0)
-
-    return connection.ConnectionData(
-        decomposition=d,
-        a_list=tuple(draw(e) for e in unit),
-        b_list=tuple(draw(-e) for e in unit),
-    )
 
 
 def _scalar_chain_rep(a_val, b_val):
@@ -111,10 +95,10 @@ def test_double_pairs_and_orientation():
     dq = _chain_double([0, 1, 2])
     assert dq.pairs == (("A1", "B1"), ("A2", "B2"))
     for orig, opp in dq.pairs:
-        fwd, rev = dq.arrow(orig), dq.arrow(opp)
+        fwd, rev = dq.by_label[orig], dq.by_label[opp]
         assert (fwd.tail, fwd.head) == (rev.head, rev.tail)
-    assert dq.opposite("A1") == "B1"
-    assert dq.opposite("B2") == "A2"
+    assert dq.opposites["A1"] == "B1"
+    assert dq.opposites["B2"] == "A2"
 
 
 def test_double_of_loop_uses_op_suffix():
@@ -189,7 +173,7 @@ def test_from_connection_extracts_blocks():
 )
 def test_connection_round_trip_is_exact(vals):
     d = _decomp(vals)
-    c = _pattern_connection(np.random.default_rng(SEED), d)
+    c = pattern_connection(np.random.default_rng(SEED), d)
     back = quiver.to_connection(quiver.from_connection(c), d)
     assert back.decomposition == d
     for m2, m in zip(back.a_list + back.b_list, c.a_list + c.b_list):
@@ -503,6 +487,16 @@ def _loop_rep(a_val, b_val):
     return quiver.DoubleQuiverRep(quiver=_loop_double(), matrices={"A1": [[a_val]], "B1": [[b_val]]})
 
 
+def test_library_words_keep_labels_that_contain_commas():
+    labels = ("X", "X_op", "X,X", "X,X_op")
+    dq = quiver.DoubleQuiver(dims=(1,), arrows=tuple(quiver.Arrow(0, 0, x) for x in labels))
+    rep = quiver.DoubleQuiverRep(quiver=dq, matrices={x: [[k + 2.0]] for k, x in enumerate(labels)})
+    entries = quiver.invariants(rep, max_len=2).entries
+    assert len(entries) == 4 + 10
+    assert (entries[("X", "X")], entries[("X,X",)]) == (4.0, 4.0)
+    assert entries[("X", "X,X")] == 8.0
+
+
 def test_certificate_counts_words_only_up_to_its_witness(monkeypatch):
     # level 1 is A1, B1: a budget of one word covers the witness A1, not B1
     monkeypatch.setattr(quiver, "MAX_CYCLE_WORDS", 1)
@@ -553,7 +547,7 @@ def test_invariants_are_gauge_invariant():
 @pytest.mark.parametrize("vals", [[0, 0, 1, 2], SQUARE], ids=["rank1", "rank2"])
 def test_traces_are_invariant_under_connection_gauge(vals):
     d = _decomp(vals)
-    c = _pattern_connection(np.random.default_rng(SEED + 13), d)
+    c = pattern_connection(np.random.default_rng(SEED + 13), d)
     v1 = quiver.invariants(quiver.from_connection(c), max_len=4)
     for seed in range(3):
         moved = connection.gauge(c, weights.sample_commutant(d, seed))

@@ -12,7 +12,7 @@ from modulikit.errors import (
     NotUnitModulusError,
     RankNotOneError,
 )
-from util import cnormal, rel_err
+from util import cnormal, f_of, rel_err
 
 SEED = 20260814
 
@@ -27,7 +27,7 @@ def _brute_commutant_dim(d, rng):
     rows = []
     for _ in range(3):
         tau = np.exp(2j * np.pi * rng.uniform(size=d.rank))
-        f = weights.f_of(d, tau if d.rank > 1 else complex(tau[0]))
+        f = f_of(d, tau if d.rank > 1 else complex(tau[0]))
         rows.append(np.kron(np.eye(n), f) - np.kron(f.T, np.eye(n)))
     sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
     return int(np.sum(sv < 1e-8))
@@ -144,24 +144,24 @@ def test_chains_reconstruct_decomposition():
 
 def test_f_of_trivial_tau():
     d = weights.decompose(weights.WeightData.of([0, 2, 5]))
-    assert_allclose(weights.f_of(d, 1.0), np.eye(3), atol=0)
+    assert_allclose(f_of(d, 1.0), np.eye(3), atol=0)
 
 
 def test_f_of_imaginary_tau():
     d = weights.decompose(weights.WeightData.of([0, 1]))
-    assert_allclose(weights.f_of(d, 1j), np.diag([1.0, 1j]), atol=1e-15)
+    assert_allclose(f_of(d, 1j), np.diag([1.0, 1j]), atol=1e-15)
 
 
 def test_f_of_negative_weights():
     d = weights.decompose(weights.WeightData.of([-1, 1]))
-    assert_allclose(weights.f_of(d, 1j), np.diag([-1j, 1j]), atol=1e-15)
+    assert_allclose(f_of(d, 1j), np.diag([-1j, 1j]), atol=1e-15)
 
 
 def test_f_of_rank_two():
     w = weights.WeightData(rank=2, weights=((1, 0), (0, 1), (1, 1)))
     d = weights.decompose(w)
     t1, t2 = np.exp(0.3j), np.exp(-1.1j)
-    got = np.diag(weights.f_of(d, (t1, t2)))
+    got = np.diag(f_of(d, (t1, t2)))
     # original index order: weights (1,0), (0,1), (1,1)
     assert_allclose(got, [t1, t2, t1 * t2], atol=1e-14)
 
@@ -171,17 +171,17 @@ def test_f_of_is_a_homomorphism():
     d = weights.decompose(weights.WeightData.of([-2, 0, 0, 3]))
     for _ in range(20):
         t1, t2 = np.exp(2j * np.pi * rng.uniform(size=2))
-        lhs = weights.f_of(d, complex(t1 * t2))
-        rhs = weights.f_of(d, complex(t1)) @ weights.f_of(d, complex(t2))
+        lhs = f_of(d, complex(t1 * t2))
+        rhs = f_of(d, complex(t1)) @ f_of(d, complex(t2))
         assert rel_err(lhs - rhs, 1.0) < 1e-12
 
 
 def test_f_of_rejects_off_circle_tau():
     d = weights.decompose(weights.WeightData.of([0, 1]))
     with pytest.raises(NotUnitModulusError):
-        weights.f_of(d, 2.0)
+        f_of(d, 2.0)
     with pytest.raises(DimensionMismatchError):
-        weights.f_of(d, (1.0, 1.0))
+        f_of(d, (1.0, 1.0))
 
 
 def test_shifts_are_exact_weight_differences():
@@ -241,7 +241,7 @@ def test_commutant_elements_commute_with_torus():
         d = weights.decompose(weights.WeightData.of([int(v) for v in rng.integers(-2, 3, n)]))
         h = weights.sample_commutant(d, seed=1000 + k)
         for _ in range(4):
-            f = weights.f_of(d, complex(np.exp(2j * np.pi * rng.uniform())))
+            f = f_of(d, complex(np.exp(2j * np.pi * rng.uniform())))
             assert rel_err(f @ h - h @ f, np.linalg.norm(h)) <= 1e-10
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from modulikit import quiver
+from modulikit import connection, quiver, weights
 from modulikit._sampling import cnormal, unit_disk, unitary, well_conditioned
 
 
@@ -39,6 +39,27 @@ def disk_invertible(rng, n, bound=1e3):
         if np.linalg.cond(h) <= bound:
             return h
     raise RuntimeError("no well-conditioned draw")
+
+
+def f_of(d, tau):
+    """The torus element ``tau`` acting on the grading ``d``, as a diagonal matrix."""
+    return np.diag(weights.phase_vector(d, tau))
+
+
+def pattern_connection(rng, d):
+    """Random connection data over ``d``, nonzero on every allowed entry."""
+    shifts = d.shifts()
+    unit = np.eye(d.rank, dtype=np.int64)
+
+    def draw(target):
+        on = (shifts == target).all(axis=-1)
+        return np.where(on, rng.standard_normal(on.shape) + 1j * rng.standard_normal(on.shape), 0)
+
+    return connection.ConnectionData(
+        decomposition=d,
+        a_list=tuple(draw(e) for e in unit),
+        b_list=tuple(draw(-e) for e in unit),
+    )
 
 
 def rel_err(diff, scale):
