@@ -84,7 +84,7 @@ def _decompose(args, w):
 def _validate(args, c):
     from . import connection
 
-    report = connection.validate_covariance(c, tol=args.tol, seed=args.seed)
+    report = connection.validate_covariance(c)
     return _exit(report.ok), {
         "result": "pass" if report.ok else "fail",
         "worst": report.worst,
@@ -183,7 +183,7 @@ COMMANDS = {
         "weight blocks and chains of integer weight data", ("weight_data",), None, _decompose
     ),
     "validate": Command(
-        "structural and sampled covariance check of connection data", ("connection",), "tol", _validate
+        "exact weight-shift pattern check of connection data", ("connection",), None, _validate
     ),
     "pure": Command("commutator purity of a frame tuple", ("frame_tuple",), "tol", _pure),
     "involute": Command("apply the involution (A, B) -> (-B*, -A*)", ("connection",), None, _involute),

@@ -141,7 +141,11 @@ def chains(d: WeightDecomposition) -> tuple[tuple[WeightBlock, ...], ...]:
     return tuple(map(tuple, runs))
 
 
-def _tau_vector(d: WeightDecomposition, tau) -> np.ndarray:
+def phase_vector(d: WeightDecomposition, tau) -> np.ndarray:
+    """Diagonal of the torus action: entry ``i`` is ``prod_k tau_k**m[i][k]``.
+
+    Each tau component must be unit modulus within ``UNIT_MODULUS_TOL``.
+    """
     taus = np.atleast_1d(np.asarray(tau, dtype=complex))
     if taus.shape != (d.rank,):
         raise DimensionMismatchError(
@@ -149,15 +153,6 @@ def _tau_vector(d: WeightDecomposition, tau) -> np.ndarray:
         )
     if np.any(np.abs(np.abs(taus) - 1.0) > UNIT_MODULUS_TOL):
         raise NotUnitModulusError("every tau component must have modulus 1")
-    return taus
-
-
-def phase_vector(d: WeightDecomposition, tau) -> np.ndarray:
-    """Diagonal of the torus action: entry ``i`` is ``prod_k tau_k**m[i][k]``.
-
-    Each tau component must be unit modulus within ``UNIT_MODULUS_TOL``.
-    """
-    taus = _tau_vector(d, tau)
     out = np.ones(d.dim, dtype=complex)
     for block in d.blocks:
         val = complex(np.prod(taus ** np.array(block.weight, dtype=int)))

@@ -114,18 +114,18 @@ def _replaced(doc, path, value):
     return doc
 
 
-def _scaled(doc):
-    """Every matrix entry multiplied by 1e200."""
+def _scaled(doc, s):
+    """Every matrix entry multiplied by s."""
     if isinstance(doc, dict):
         return {
-            k: [[1e200 * x for x in pair] for pair in v] if k == "entries" else _scaled(v)
+            k: [[s * x for x in pair] for pair in v] if k == "entries" else _scaled(v, s)
             for k, v in doc.items()
         }
-    return [_scaled(v) for v in doc] if isinstance(doc, list) else doc
+    return [_scaled(v, s) for v in doc] if isinstance(doc, list) else doc
 
 
 def _damaged(doc):
-    yield "entries * 1e200", _scaled(doc)
+    yield "entries * 1e200", _scaled(doc, 1e200)
     for path in _fields(doc):
         for value in HOSTILE + (DROP,):
             label = "drop" if value is DROP else repr(value)[:12]
@@ -150,6 +150,34 @@ def test_damaged_inputs_keep_the_exit_code_contract(name, args, tmp_path, monkey
                 except Exception as exc:
                     pytest.fail(f"{args[k]}: {what} raises {exc!r}")
             assert code in (0, 1, 2), f"{args[k]}: {what} exits {code}"
+
+
+VALIDATE_CASES = [(name, args) for name, args in CASES if args[0] == "validate"]
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+@pytest.mark.parametrize("tol", ["1e-300", "1e300"])
+@pytest.mark.parametrize("name, args", VALIDATE_CASES, ids=[name for name, _ in VALIDATE_CASES])
+def test_tol_and_seed_never_change_validate(name, args, tol, seed, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    code, stdout = _run(args + ["--tol", tol, "--seed", seed])
+    assert stdout == (GOLDEN / f"{name}.out").read_bytes()
+    assert code == exit_codes[name]
+
+
+@pytest.mark.parametrize("s", [2.0**-560, 2.0**530], ids=["2^-560", "2^530"])
+@pytest.mark.parametrize("name, args", VALIDATE_CASES, ids=[name for name, _ in VALIDATE_CASES])
+def test_validate_verdict_holds_at_the_ends_of_the_double_range(name, args, s, tmp_path, monkeypatch):
+    # s is a power of two, so the scaled entries are exact and the weights are untouched
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    k = args.index("--input") + 1
+    path = tmp_path / args[k]
+    path.write_text(json.dumps(_scaled(json.loads((INPUTS / args[k]).read_text(encoding="utf-8")), s)))
+    code, stdout = _run(args[:k] + [str(path)] + args[k + 1 :])
+    want = json.loads((GOLDEN / f"{name}.out").read_bytes())
+    assert (code, json.loads(stdout)["result"]) == (exit_codes[name], want["result"])
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from modulikit import connection, linalg, quiver, weights
-from util import pattern_connection, rel_err
+from util import f_of, pattern_connection, rel_err
 
 SEED = 31337
 DRAWS = 12
@@ -66,7 +66,7 @@ def test_pattern_data_passes_validate(rank):
 
 @pytest.mark.parametrize("rank", RANKS)
 def test_one_forbidden_entry_fails_validate_with_its_check_name(rank):
-    for rng, _, c in _draws(rank):
+    for rng, d, c in _draws(rank):
         bad, name, (i, j) = _with_forbidden_entry(rng, c)
         assert name in (("A", "B") if rank == 1 else [f"{s}_{k}" for s in "AB" for k in range(1, rank + 1)])
         report = connection.validate_covariance(bad)
@@ -74,7 +74,31 @@ def test_one_forbidden_entry_fails_validate_with_its_check_name(rank):
         structural = [v for v in report.violations if v.check.startswith("structural:")]
         assert [v.check for v in structural] == [f"structural:{name}"]
         assert structural[0].detail.startswith(f"forbidden entry ({i}, {j}) ")
-        assert {v.check for v in report.violations} <= {f"structural:{name}", f"sampled:{name}"}
+        assert len(report.violations) == 1 and report.checks == 2 * rank * d.dim**2
+
+
+def _covariant_at(c, taus):
+    """The definition: ``f(tau) M f(tau)^{-1} = tau^t M`` for every graded M at every tau."""
+    for tau in taus:
+        f = f_of(c.decomposition, tau)
+        finv = np.linalg.inv(f)
+        for _, m, t in c.graded_matrices():
+            if not linalg.frob(f @ m @ finv - np.prod(tau**t) * m) <= 1e-10 * linalg.frob(m):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_validate_agrees_with_the_covariance_definition(rank):
+    # weights lie in [-1, 2], so tau ** t and f(tau) are exact enough to be the oracle
+    verdicts = []
+    for rng, _, c in _draws(rank):
+        taus = np.exp(2j * np.pi * rng.uniform(size=(8, rank)))
+        for data in (c, _with_forbidden_entry(rng, c)[0]):
+            ok = connection.validate_covariance(data).ok
+            assert ok == _covariant_at(data, taus)
+            verdicts.append(ok)
+    assert verdicts == [True, False] * DRAWS
 
 
 @pytest.mark.parametrize("rank", RANKS)
