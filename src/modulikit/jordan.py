@@ -115,13 +115,9 @@ def spectral(z) -> SpectralDecomposition:
     return SpectralDecomposition(t=t, u=u, v=v)
 
 
-def reconstruct(sd: SpectralDecomposition, p: int | None = None, q: int | None = None) -> np.ndarray:
+def reconstruct(sd: SpectralDecomposition) -> np.ndarray:
     """Assemble ``u @ diag(t, padded) @ v^*`` back into a p x q matrix."""
-    p = sd.u.shape[0] if p is None else int(p)
-    q = sd.v.shape[0] if q is None else int(q)
-    if (p, q) != (sd.u.shape[0], sd.v.shape[0]):
-        raise DimensionMismatchError("requested shape does not match the frame matrices")
-    core = np.zeros((p, q), dtype=complex)
+    core = np.zeros((sd.u.shape[0], sd.v.shape[0]), dtype=complex)
     r = sd.rank
     core[:r, :r] = np.diag(sd.t)
     return sd.u @ core @ dagger(sd.v)

@@ -5,11 +5,16 @@ runs at desk scale (matrix sizes at most 8), and reports its worst
 violation measure against the property tolerance.  Reports are plain
 dictionaries ready for canonical JSON output; for a fixed seed the bytes
 never change.
+
+A property body checks one sample; :func:`_property` runs it over the
+samples and reduces the results.  A NaN measure, or a ``ValueError`` from
+a kernel, fails that property's row alone, with ``worst`` written as null.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -21,25 +26,74 @@ DESK_MAX_DIM = 8
 
 
 # ---------------------------------------------------------------------------
-# deterministic sample builders
+# measures and the sample loop
 
 
-def _invertible(rng, n, bound=1e3):
-    for _ in range(64):
-        h = cnormal(rng, n)
-        if np.linalg.cond(h) <= bound:
-            return h
-    raise RuntimeError("no well-conditioned sample")
+def _worst(*measures) -> float:
+    """The largest of ``measures`` (0.0 for none), or NaN if any is NaN.
+
+    Every combination of measures goes through here: Python's ``max``
+    drops a NaN that does not come first, which would let a broken kernel
+    pass its row.
+    """
+    if any(m != m for m in measures):
+        return math.nan
+    return float(max((0.0, *measures)))
+
+
+def _failures(*holds) -> float:
+    """The ``worst`` of a counted property: how many samples fail."""
+    return float(sum(not h for h in holds))
+
+
+def _property(tol, reduce=_worst, fixed=None):
+    """Make ``one(rng, k)``, a check of sample ``k``, a suite property.
+
+    ``one`` returns a violation measure, or with ``reduce=_failures``
+    whether the sample holds.  The property ``fn(rng, samples)`` returns
+    ``(worst, tol, used)`` over ``used`` samples: the suite's ``samples``,
+    or ``fixed`` when given.  A ``ValueError`` (every ``ModulikitError``,
+    numpy's ``LinAlgError``) gives a NaN ``worst``.
+    """
+
+    def wrap(one):
+        def prop(rng, samples):
+            used = samples if fixed is None else fixed
+            try:
+                worst = reduce(*(one(rng, k) for k in range(used)))
+            except ValueError:
+                worst = math.nan
+            return worst, tol, used
+
+        return prop
+
+    return wrap
 
 
 def _rel(diff, scale):
     return linalg.relative(linalg.frob(diff), scale)
 
 
-def _rand_decomposition(rng, n=None, lo=-3, hi=3):
-    n = int(rng.integers(2, DESK_MAX_DIM + 1)) if n is None else n
-    w = weights.WeightData.of([int(x) for x in rng.integers(lo, hi + 1, n)])
-    return weights.decompose(w)
+def _maxabs(m) -> float:
+    """Largest entry modulus of ``m``, 0.0 when it is empty."""
+    return float(np.max(np.abs(m), initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# deterministic sample builders
+
+
+def _invertible(rng, n):
+    for _ in range(64):
+        h = cnormal(rng, n)
+        if np.linalg.cond(h) <= 1e3:
+            return h
+    raise RuntimeError("no well-conditioned sample")
+
+
+def _rand_decomposition(rng):
+    n = int(rng.integers(2, DESK_MAX_DIM + 1))
+    return weights.decompose(weights.WeightData.of([int(x) for x in rng.integers(-3, 4, n)]))
 
 
 def _pattern_pair(rng, d):
@@ -50,8 +104,8 @@ def _pattern_pair(rng, d):
     return a, b
 
 
-def _rand_connection(rng, n=None):
-    d = _rand_decomposition(rng, n)
+def _rand_connection(rng):
+    d = _rand_decomposition(rng)
     a, b = _pattern_pair(rng, d)
     return connection.ConnectionData(decomposition=d, a_list=(a,), b_list=(b,))
 
@@ -60,9 +114,7 @@ def _rand_chain_rep(rng):
     d = _rand_decomposition(rng)
     dq = quiver.double(quiver.weight_quiver(d))
     dims = dq.dims
-    mats = {
-        a.label: cnormal(rng, dims[a.head], dims[a.tail]) for a in dq.arrows
-    }
+    mats = {a.label: cnormal(rng, dims[a.head], dims[a.tail]) for a in dq.arrows}
     return quiver.DoubleQuiverRep(quiver=dq, matrices=mats)
 
 
@@ -88,115 +140,95 @@ def _vertex_gauges(rng, dims, spread=False):
 # linalg properties
 
 
-def _prop_sharp_involution(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        h = well_conditioned(rng, int(rng.integers(2, 7)))
-        worst = max(worst, _rel(linalg.sharp(linalg.sharp(h)) - h, linalg.frob(h)))
-    return worst, 1e-10
+@_property(1e-10)
+def _prop_sharp_involution(rng, k):
+    h = well_conditioned(rng, int(rng.integers(2, 7)))
+    return _rel(linalg.sharp(linalg.sharp(h)) - h, linalg.frob(h))
 
 
-def _prop_sharp_multiplicative(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 7))
-        h1, h2 = well_conditioned(rng, n), well_conditioned(rng, n)
-        lhs = linalg.sharp(h1 @ h2)
-        rhs = linalg.sharp(h1) @ linalg.sharp(h2)
-        worst = max(worst, _rel(lhs - rhs, linalg.frob(rhs)))
-    return worst, 1e-10
+@_property(1e-10)
+def _prop_sharp_multiplicative(rng, k):
+    n = int(rng.integers(2, 7))
+    h1, h2 = well_conditioned(rng, n), well_conditioned(rng, n)
+    lhs = linalg.sharp(h1 @ h2)
+    rhs = linalg.sharp(h1) @ linalg.sharp(h2)
+    return _rel(lhs - rhs, linalg.frob(rhs))
 
 
-def _prop_lie_sharp_involution(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        x = cnormal(rng, int(rng.integers(1, DESK_MAX_DIM + 1)))
-        again = linalg.lie_sharp(linalg.lie_sharp(x))
-        worst = max(worst, float(np.max(np.abs(again - x))) if x.size else 0.0)
-    return worst, 0.0
+@_property(0.0)
+def _prop_lie_sharp_involution(rng, k):
+    x = cnormal(rng, int(rng.integers(1, DESK_MAX_DIM + 1)))
+    return _maxabs(linalg.lie_sharp(linalg.lie_sharp(x)) - x)
 
 
-def _prop_lie_sharp_bracket(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, DESK_MAX_DIM + 1))
-        x, y = cnormal(rng, n), cnormal(rng, n)
-        lhs = linalg.lie_sharp(linalg.commutator(x, y))
-        rhs = linalg.commutator(linalg.lie_sharp(x), linalg.lie_sharp(y))
-        worst = max(worst, _rel(lhs - rhs, linalg.frob(lhs)))
-    return worst, 1e-12
+@_property(1e-12)
+def _prop_lie_sharp_bracket(rng, k):
+    n = int(rng.integers(2, DESK_MAX_DIM + 1))
+    x, y = cnormal(rng, n), cnormal(rng, n)
+    lhs = linalg.lie_sharp(linalg.commutator(x, y))
+    rhs = linalg.commutator(linalg.lie_sharp(x), linalg.lie_sharp(y))
+    return _rel(lhs - rhs, linalg.frob(lhs))
 
 
-def _prop_hermitian_sqrt(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 7))
-        g = well_conditioned(rng, n)
-        k = g @ linalg.dagger(g)
-        h = linalg.hermitian_sqrt(k)
-        if float(np.linalg.eigvalsh(h).min()) <= 0.0:
-            worst = max(worst, 1.0)
-        worst = max(worst, linalg.frob(h - linalg.dagger(h)))
-        worst = max(worst, _rel(h @ linalg.dagger(h) - k, linalg.frob(k)))
-    return worst, 1e-10
+@_property(1e-10)
+def _prop_hermitian_sqrt(rng, k):
+    n = int(rng.integers(2, 7))
+    g = well_conditioned(rng, n)
+    gram = g @ linalg.dagger(g)
+    h = linalg.hermitian_sqrt(gram)
+    return _worst(
+        1.0 if float(np.linalg.eigvalsh(h).min()) <= 0.0 else 0.0,
+        linalg.frob(h - linalg.dagger(h)),
+        _rel(h @ linalg.dagger(h) - gram, linalg.frob(gram)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # weights properties
 
 
-def _prop_decompose_permutation(rng, samples):
-    bad = 0
-    for _ in range(samples):
-        n = int(rng.integers(2, DESK_MAX_DIM + 1))
-        vals = [int(x) for x in rng.integers(-3, 4, n)]
-        perm = rng.permutation(n)
-        d1 = weights.decompose(weights.WeightData.of(vals))
-        d2 = weights.decompose(weights.WeightData.of([vals[p] for p in perm]))
-        # index i of the permuted data carries the weight of original perm[i]
-        inverse = {int(p): i for i, p in enumerate(perm)}
-        mapped = tuple(
-            weights.WeightBlock(
-                weight=b.weight,
-                indices=tuple(sorted(inverse[i] for i in b.indices)),
-            )
-            for b in d1.blocks
-        )
-        if mapped != d2.blocks:
-            bad += 1
-    return float(bad), 0.0
+@_property(0.0, _failures)
+def _prop_decompose_permutation(rng, k):
+    n = int(rng.integers(2, DESK_MAX_DIM + 1))
+    vals = [int(x) for x in rng.integers(-3, 4, n)]
+    perm = rng.permutation(n)
+    d1 = weights.decompose(weights.WeightData.of(vals))
+    d2 = weights.decompose(weights.WeightData.of([vals[p] for p in perm]))
+    # index i of the permuted data carries the weight of original perm[i]
+    inverse = {int(p): i for i, p in enumerate(perm)}
+    mapped = tuple(
+        weights.WeightBlock(weight=b.weight, indices=tuple(sorted(inverse[i] for i in b.indices)))
+        for b in d1.blocks
+    )
+    return mapped == d2.blocks
 
 
-def _prop_chains_lossless(rng, samples):
-    bad = 0
-    for _ in range(samples):
-        d = _rand_decomposition(rng)
-        runs = weights.chains(d)
-        if sum(b.dim for run in runs for b in run) != d.dim:
-            bad += 1
-            continue
-        rebuilt = tuple(
-            weights.WeightBlock(weight=(run[0].weight[0] + lvl,), indices=b.indices)
-            for run in runs
-            for lvl, b in enumerate(run)
-        )
-        if rebuilt != d.blocks:
-            bad += 1
-    return float(bad), 0.0
+@_property(0.0, _failures)
+def _prop_chains_lossless(rng, k):
+    d = _rand_decomposition(rng)
+    runs = weights.chains(d)
+    if sum(b.dim for run in runs for b in run) != d.dim:
+        return False
+    rebuilt = tuple(
+        weights.WeightBlock(weight=(run[0].weight[0] + lvl,), indices=b.indices)
+        for run in runs
+        for lvl, b in enumerate(run)
+    )
+    return rebuilt == d.blocks
 
 
-def _prop_commutant_commutes(rng, samples):
-    worst = 0.0
-    for k in range(samples):
-        d = _rand_decomposition(rng)
-        h = weights.sample_commutant(d, seed=int(rng.integers(0, 2**32)))
-        if not weights.commutant_contains(d, h):
-            worst = max(worst, 1.0)
-        for _ in range(4):
-            tau = complex(np.exp(2j * np.pi * rng.uniform()))
-            f = np.diag(weights.phase_vector(d, tau))
-            worst = max(worst, _rel(f @ h - h @ f, linalg.frob(h)))
-    return worst, 1e-10
+@_property(1e-10)
+def _prop_commutant_commutes(rng, k):
+    d = _rand_decomposition(rng)
+    h = weights.sample_commutant(d, seed=int(rng.integers(0, 2**32)))
+    contained = weights.commutant_contains(d, h)
+    fs = (
+        np.diag(weights.phase_vector(d, complex(np.exp(2j * np.pi * rng.uniform()))))
+        for _ in range(4)
+    )
+    return _worst(
+        0.0 if contained else 1.0, *(_rel(f @ h - h @ f, linalg.frob(h)) for f in fs)
+    )
 
 
 def _bruteforce_commutant_dim(d, rng):
@@ -212,16 +244,13 @@ def _bruteforce_commutant_dim(d, rng):
     return int(np.sum(sv < 1e-8))
 
 
-def _prop_commutant_dim(rng, samples):
-    bad = 0
-    for _ in range(samples):
-        n = int(rng.integers(2, 6))
-        rank = int(rng.integers(1, 3))
-        vecs = [tuple(int(x) for x in rng.integers(-2, 3, rank)) for _ in range(n)]
-        d = weights.decompose(weights.WeightData(rank=rank, weights=tuple(vecs)))
-        if weights.commutant_dim(d) != _bruteforce_commutant_dim(d, rng):
-            bad += 1
-    return float(bad), 0.0
+@_property(0.0, _failures)
+def _prop_commutant_dim(rng, k):
+    n = int(rng.integers(2, 6))
+    rank = int(rng.integers(1, 3))
+    vecs = [tuple(int(x) for x in rng.integers(-2, 3, rank)) for _ in range(n)]
+    d = weights.decompose(weights.WeightData(rank=rank, weights=tuple(vecs)))
+    return weights.commutant_dim(d) == _bruteforce_commutant_dim(d, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -229,160 +258,136 @@ def _prop_commutant_dim(rng, samples):
 
 
 def _pattern_max_violation(c):
-    bad = connection.structural_violations(c)
-    return max((v.measure for v in bad), default=0.0)
+    return _worst(*(v.measure for v in connection.structural_violations(c)))
 
 
-def _prop_involution_order_2(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        c = _rand_connection(rng)
-        once = connection.involution(c)
-        twice = connection.involution(once)
-        worst = max(worst, _pattern_max_violation(once))
-        delta = max(
-            float(np.max(np.abs(twice.a_list[0] - c.a_list[0]))),
-            float(np.max(np.abs(twice.b_list[0] - c.b_list[0]))),
-        )
-        worst = max(worst, delta)
-    return worst, 1e-14
+@_property(1e-14)
+def _prop_involution_order_2(rng, k):
+    c = _rand_connection(rng)
+    once = connection.involution(c)
+    twice = connection.involution(once)
+    return _worst(
+        _pattern_max_violation(once),
+        _maxabs(twice.a_list[0] - c.a_list[0]),
+        _maxabs(twice.b_list[0] - c.b_list[0]),
+    )
 
 
-def _prop_involution_gauge_compat(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        c = _rand_connection(rng)
-        h = weights.sample_commutant(c.decomposition, seed=int(rng.integers(0, 2**32)))
-        lhs = connection.involution(connection.gauge(c, h))
-        rhs = connection.gauge(connection.involution(c), linalg.sharp(h))
-        scale = max(linalg.frob(lhs.a_list[0]), linalg.frob(lhs.b_list[0]), 1.0)
-        worst = max(
-            worst,
-            _rel(lhs.a_list[0] - rhs.a_list[0], scale),
-            _rel(lhs.b_list[0] - rhs.b_list[0], scale),
-        )
-    return worst, 1e-10
+@_property(1e-10)
+def _prop_involution_gauge_compat(rng, k):
+    c = _rand_connection(rng)
+    h = weights.sample_commutant(c.decomposition, seed=int(rng.integers(0, 2**32)))
+    lhs = connection.involution(connection.gauge(c, h))
+    rhs = connection.gauge(connection.involution(c), linalg.sharp(h))
+    scale = max(linalg.frob(lhs.a_list[0]), linalg.frob(lhs.b_list[0]), 1.0)
+    return _worst(
+        _rel(lhs.a_list[0] - rhs.a_list[0], scale),
+        _rel(lhs.b_list[0] - rhs.b_list[0], scale),
+    )
 
 
-def _prop_purity_gauge_invariant(rng, samples):
-    bad = 0
-    for k in range(samples):
-        n = int(rng.integers(2, 6))
-        r = int(rng.integers(2, 4))
-        if k % 2 == 0:
-            # simultaneously diagonal values commute exactly
-            a_list = [np.diag(cnormal(rng, 1, n)[0]) for _ in range(r)]
-        else:
-            a_list = [cnormal(rng, n) for _ in range(r)]
-        t = connection.FrameTuple(a_list=tuple(a_list))
-        h = _invertible(rng, n)
-        conj = connection.FrameTuple(
-            a_list=tuple(h @ a @ np.linalg.inv(h) for a in t.a_list),
-            b_list=tuple(h @ b @ np.linalg.inv(h) for b in t.b_list),
-        )
-        if connection.is_pure(t).pure != connection.is_pure(conj).pure:
-            bad += 1
-    return float(bad), 0.0
+@_property(0.0, _failures)
+def _prop_purity_gauge_invariant(rng, k):
+    n = int(rng.integers(2, 6))
+    r = int(rng.integers(2, 4))
+    if k % 2 == 0:
+        # simultaneously diagonal values commute exactly
+        a_list = [np.diag(cnormal(rng, 1, n)[0]) for _ in range(r)]
+    else:
+        a_list = [cnormal(rng, n) for _ in range(r)]
+    t = connection.FrameTuple(a_list=tuple(a_list))
+    h = _invertible(rng, n)
+    conj = connection.FrameTuple(
+        a_list=tuple(h @ a @ np.linalg.inv(h) for a in t.a_list),
+        b_list=tuple(h @ b @ np.linalg.inv(h) for b in t.b_list),
+    )
+    return connection.is_pure(t).pure == connection.is_pure(conj).pure
 
 
-def _prop_pattern_preserved(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        c = _rand_connection(rng)
-        h = weights.sample_commutant(c.decomposition, seed=int(rng.integers(0, 2**32)))
-        worst = max(worst, _pattern_max_violation(connection.involution(c)))
-        worst = max(worst, _pattern_max_violation(connection.gauge(c, h)))
-    return worst, 0.0
+@_property(0.0)
+def _prop_pattern_preserved(rng, k):
+    c = _rand_connection(rng)
+    h = weights.sample_commutant(c.decomposition, seed=int(rng.integers(0, 2**32)))
+    return _worst(
+        _pattern_max_violation(connection.involution(c)),
+        _pattern_max_violation(connection.gauge(c, h)),
+    )
 
 
-def _prop_rank1_always_pure(rng, samples):
-    bad = 0
-    for _ in range(samples):
-        n = int(rng.integers(1, DESK_MAX_DIM + 1))
-        t = connection.FrameTuple(a_list=(cnormal(rng, n),), b_list=(cnormal(rng, n),))
-        if not connection.is_pure(t).pure:
-            bad += 1
-    return float(bad), 0.0
+@_property(0.0, _failures)
+def _prop_rank1_always_pure(rng, k):
+    n = int(rng.integers(1, DESK_MAX_DIM + 1))
+    t = connection.FrameTuple(a_list=(cnormal(rng, n),), b_list=(cnormal(rng, n),))
+    return connection.is_pure(t).pure
 
 
-def _prop_hermitian_iff_fixed(rng, samples):
-    bad = 0
-    for k in range(samples):
-        d = _rand_decomposition(rng)
-        a, b = _pattern_pair(rng, d)
-        if k % 2 == 0:
-            b = -linalg.dagger(a)
-        c = connection.ConnectionData(decomposition=d, a_list=(a,), b_list=(b,))
-        folded = connection.involution(c)
-        fixed_dist = max(
-            _rel(folded.a_list[0] - c.a_list[0], max(linalg.frob(c.a_list[0]), 1.0)),
-            _rel(folded.b_list[0] - c.b_list[0], max(linalg.frob(c.b_list[0]), 1.0)),
-        )
-        if connection.is_hermitian(c) != (fixed_dist <= linalg.DEFAULT_TOL):
-            bad += 1
-    return float(bad), 0.0
+@_property(0.0, _failures)
+def _prop_hermitian_iff_fixed(rng, k):
+    d = _rand_decomposition(rng)
+    a, b = _pattern_pair(rng, d)
+    if k % 2 == 0:
+        b = -linalg.dagger(a)
+    c = connection.ConnectionData(decomposition=d, a_list=(a,), b_list=(b,))
+    folded = connection.involution(c)
+    fixed_dist = _worst(
+        _rel(folded.a_list[0] - c.a_list[0], max(linalg.frob(c.a_list[0]), 1.0)),
+        _rel(folded.b_list[0] - c.b_list[0], max(linalg.frob(c.b_list[0]), 1.0)),
+    )
+    return connection.is_hermitian(c) == (fixed_dist <= linalg.DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
 # quiver properties
 
 
-def _prop_moment_paper_zero(rng, samples):
-    worst = 0.0
-    for k in range(samples):
-        rep = _loop_rep(rng) if k % 5 == 4 else _rand_chain_rep(rng)
-        for mu in quiver.moment_map(rep, convention="paper"):
-            if mu.size:
-                worst = max(worst, float(np.max(np.abs(mu))))
-    return worst, 1e-14
+@_property(1e-14)
+def _prop_moment_paper_zero(rng, k):
+    rep = _loop_rep(rng) if k % 5 == 4 else _rand_chain_rep(rng)
+    return _worst(*(_maxabs(mu) for mu in quiver.moment_map(rep, convention="paper")))
 
 
-def _prop_moment_standard_equivariant(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        rep = _rand_chain_rep(rng)
-        gs = _vertex_gauges(rng, rep.quiver.dims)
-        moved = quiver.gauge_action(rep, gs)
-        mu = quiver.moment_map(rep, convention="standard")
-        mu_moved = quiver.moment_map(moved, convention="standard")
-        for v, g in enumerate(gs):
-            expect = g @ mu[v] @ np.linalg.inv(g)
-            worst = max(worst, _rel(mu_moved[v] - expect, max(linalg.frob(expect), 1.0)))
-    return worst, 1e-10
+@_property(1e-10)
+def _prop_moment_standard_equivariant(rng, k):
+    rep = _rand_chain_rep(rng)
+    gs = _vertex_gauges(rng, rep.quiver.dims)
+    moved = quiver.gauge_action(rep, gs)
+    mu = quiver.moment_map(rep, convention="standard")
+    mu_moved = quiver.moment_map(moved, convention="standard")
+    expects = [g @ m @ np.linalg.inv(g) for g, m in zip(gs, mu)]
+    return _worst(
+        *(_rel(m - e, max(linalg.frob(e), 1.0)) for m, e in zip(mu_moved, expects))
+    )
 
 
-def _prop_invariants_gauge_invariant(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        rep = _rand_chain_rep(rng)
-        gs = _vertex_gauges(rng, rep.quiver.dims, spread=True)
-        moved = quiver.gauge_action(rep, gs)
-        v1 = quiver.invariants(rep, max_len=6)
-        v2 = quiver.invariants(moved, max_len=6)
-        if not v1.entries:
-            continue
-        scale = max(
-            max(abs(t) for t in v1.entries.values()),
-            max(abs(t) for t in v2.entries.values()),
-            1.0,
-        )
-        worst = max(worst, quiver.invariant_distance(v1, v2) / scale)
-    return worst, 1e-9
+@_property(1e-9)
+def _prop_invariants_gauge_invariant(rng, k):
+    rep = _rand_chain_rep(rng)
+    gs = _vertex_gauges(rng, rep.quiver.dims, spread=True)
+    moved = quiver.gauge_action(rep, gs)
+    v1 = quiver.invariants(rep, max_len=6)
+    v2 = quiver.invariants(moved, max_len=6)
+    if not v1.entries:
+        return 0.0
+    scale = max(
+        max(abs(t) for t in v1.entries.values()),
+        max(abs(t) for t in v2.entries.values()),
+        1.0,
+    )
+    return quiver.invariant_distance(v1, v2) / scale
 
 
-def _prop_trace_rotation_invariant(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        rep = _rand_chain_rep(rng)
-        words = quiver.enumerate_cycles(rep.quiver, max_len=5)
-        for word in words[:8]:
-            traces = [
-                quiver.cycle_trace(rep, word[r:] + word[:r]) for r in range(len(word))
-            ]
-            scale = max(max(abs(t) for t in traces), 1.0)
-            for t in traces[1:]:
-                worst = max(worst, abs(t - traces[0]) / scale)
-    return worst, 1e-12
+def _rotation_defect(rep, word):
+    """Largest trace change over the rotations of ``word``, relative to the traces."""
+    traces = [quiver.cycle_trace(rep, word[r:] + word[:r]) for r in range(len(word))]
+    scale = max(max(abs(t) for t in traces), 1.0)
+    return _worst(*(abs(t - traces[0]) / scale for t in traces[1:]))
+
+
+@_property(1e-12)
+def _prop_trace_rotation_invariant(rng, k):
+    rep = _rand_chain_rep(rng)
+    words = quiver.enumerate_cycles(rep.quiver, max_len=5)
+    return _worst(*(_rotation_defect(rep, word) for word in words[:8]))
 
 
 def _bruteforce_cycles(dq, max_len):
@@ -408,96 +413,74 @@ def _bruteforce_cycles(dq, max_len):
     return sorted(found, key=lambda w: (len(w), w))
 
 
-def _chain_shape_family():
-    shapes = [(1,), (2,), (3,), (4,), (1, 1), (2, 1), (2, 2), (3, 1), (1, 1, 1), (2, 1, 1), (1, 1, 1, 1)]
-    family = []
-    for shape in shapes:
-        vals = []
-        base = 0
-        for levels in shape:
-            vals.extend(range(base, base + levels))
-            base += levels + 2
-        d = weights.decompose(weights.WeightData.of(vals))
-        family.append(quiver.double(quiver.weight_quiver(d)))
-    family.append(quiver.double(quiver.Quiver(dims=(2,), arrows=(quiver.Arrow(0, 0, "A1"),))))
-    return family
+# Levels per chain of the weight doubles checked against brute force; one
+# vertex with a loop is the last sample.
+_CHAIN_SHAPES = ((1,), (2,), (3,), (4,), (1, 1), (2, 1), (2, 2), (3, 1), (1, 1, 1), (2, 1, 1), (1, 1, 1, 1))
 
 
-def _prop_cycles_match_bruteforce(rng, samples):
-    bad = 0
-    family = _chain_shape_family()
-    for dq in family:
-        if quiver.enumerate_cycles(dq, 6) != _bruteforce_cycles(dq, 6):
-            bad += 1
-    return float(bad), 0.0, len(family)
+def _cycle_sample(k):
+    if k == len(_CHAIN_SHAPES):
+        return quiver.double(quiver.Quiver(dims=(2,), arrows=(quiver.Arrow(0, 0, "A1"),)))
+    vals = []
+    base = 0
+    for levels in _CHAIN_SHAPES[k]:
+        vals.extend(range(base, base + levels))
+        base += levels + 2
+    return quiver.double(quiver.weight_quiver(weights.decompose(weights.WeightData.of(vals))))
+
+
+@_property(0.0, _failures, fixed=len(_CHAIN_SHAPES) + 1)
+def _prop_cycles_match_bruteforce(rng, k):
+    dq = _cycle_sample(k)
+    return quiver.enumerate_cycles(dq, 6) == _bruteforce_cycles(dq, 6)
 
 
 # ---------------------------------------------------------------------------
 # jordan properties
 
 
-def _prop_tripotent_unitary_orbit(rng, samples):
-    bad = 0
-    for _ in range(samples):
-        p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        e = np.zeros((p, q), dtype=complex)
-        e[0, 0] = 1.0
-        moved = unitary(rng, p) @ e @ linalg.dagger(unitary(rng, q))
-        if not jordan.is_tripotent(moved):
-            bad += 1
-    return float(bad), 0.0
+@_property(0.0, _failures)
+def _prop_tripotent_unitary_orbit(rng, k):
+    p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    e = np.zeros((p, q), dtype=complex)
+    e[0, 0] = 1.0
+    return jordan.is_tripotent(unitary(rng, p) @ e @ linalg.dagger(unitary(rng, q)))
 
 
-def _prop_singular_values_unitary_invariant(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        p, q = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        z = cnormal(rng, p, q)
-        moved = unitary(rng, p) @ z @ linalg.dagger(unitary(rng, q))
-        t1 = jordan.spectral(z).t
-        t2 = jordan.spectral(moved).t
-        worst = max(worst, float(np.max(np.abs(t1 - t2))))
-    return worst, 1e-10
+@_property(1e-10)
+def _prop_singular_values_unitary_invariant(rng, k):
+    p, q = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    z = cnormal(rng, p, q)
+    moved = unitary(rng, p) @ z @ linalg.dagger(unitary(rng, q))
+    return _maxabs(jordan.spectral(z).t - jordan.spectral(moved).t)
 
 
-def _prop_triple_identity(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        u, v, x, y, z = (cnormal(rng, p, q) for _ in range(5))
-        lhs = jordan.triple_product(u, v, jordan.triple_product(x, y, z))
-        t1 = jordan.triple_product(jordan.triple_product(u, v, x), y, z)
-        t2 = jordan.triple_product(x, jordan.triple_product(v, u, y), z)
-        t3 = jordan.triple_product(x, y, jordan.triple_product(u, v, z))
-        rhs = t1 - t2 + t3
-        scale = max(linalg.frob(lhs), linalg.frob(t1), linalg.frob(t2), linalg.frob(t3))
-        worst = max(worst, _rel(lhs - rhs, scale))
-    return worst, 1e-12
+@_property(1e-12)
+def _prop_triple_identity(rng, k):
+    p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    u, v, x, y, z = (cnormal(rng, p, q) for _ in range(5))
+    lhs = jordan.triple_product(u, v, jordan.triple_product(x, y, z))
+    t1 = jordan.triple_product(jordan.triple_product(u, v, x), y, z)
+    t2 = jordan.triple_product(x, jordan.triple_product(v, u, y), z)
+    t3 = jordan.triple_product(x, y, jordan.triple_product(u, v, z))
+    scale = max(linalg.frob(lhs), linalg.frob(t1), linalg.frob(t2), linalg.frob(t3))
+    return _rel(lhs - (t1 - t2 + t3), scale)
 
 
-def _prop_quadratic_fields_commute(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        draws = []
-        for _ in range(3):
-            m = cnormal(rng, p, q)
-            n = linalg.frob(m)
-            draws.append(m / n if n > 1.0 else m)
-        u, v, z = draws
-        bracket = jordan.field_bracket(jordan.QuadraticField(u), jordan.QuadraticField(v), z)
-        worst = max(worst, linalg.frob(bracket))
-    return worst, 1e-12
+@_property(1e-12)
+def _prop_quadratic_fields_commute(rng, k):
+    p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    # draws scaled into the unit ball
+    u, v, z = (m / max(linalg.frob(m), 1.0) for m in (cnormal(rng, p, q) for _ in range(3)))
+    bracket = jordan.field_bracket(jordan.QuadraticField(u), jordan.QuadraticField(v), z)
+    return linalg.frob(bracket)
 
 
-def _prop_spectral_roundtrip(rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        p, q = int(rng.integers(1, DESK_MAX_DIM + 1)), int(rng.integers(1, DESK_MAX_DIM + 1))
-        z = cnormal(rng, p, q)
-        back = jordan.reconstruct(jordan.spectral(z))
-        worst = max(worst, _rel(back - z, linalg.frob(z)))
-    return worst, 1e-10
+@_property(1e-10)
+def _prop_spectral_roundtrip(rng, k):
+    p, q = int(rng.integers(1, DESK_MAX_DIM + 1)), int(rng.integers(1, DESK_MAX_DIM + 1))
+    z = cnormal(rng, p, q)
+    return _rel(jordan.reconstruct(jordan.spectral(z)) - z, linalg.frob(z))
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +516,15 @@ PROPERTIES = (
 
 
 def run_properties(seed: int = 0, samples: int = DEFAULT_SAMPLES) -> dict:
-    """Run every property and collect a JSON-ready report."""
+    """Run every property and collect a JSON-ready report.
+
+    A row fails when its ``worst`` exceeds its ``tol`` or is not finite;
+    a non-finite ``worst`` is written as null, since JSON has no NaN.
+    """
     rows = []
     failed = []
     for idx, (name, fn) in enumerate(PROPERTIES):
-        rng = np.random.default_rng([int(seed), idx])
-        out = fn(rng, samples)
-        worst, tol = out[0], out[1]
-        used = out[2] if len(out) > 2 else samples
+        worst, tol, used = fn(np.random.default_rng([int(seed), idx]), samples)
         ok = worst <= tol
         if not ok:
             failed.append(name)
@@ -548,7 +532,7 @@ def run_properties(seed: int = 0, samples: int = DEFAULT_SAMPLES) -> dict:
             {
                 "name": name,
                 "ok": bool(ok),
-                "worst": float(worst),
+                "worst": float(worst) if math.isfinite(worst) else None,
                 "tol": float(tol),
                 "samples": int(used),
             }

@@ -142,8 +142,8 @@ def test_criterion_03_covariance_structure():
     _stamp(
         3,
         ok,
-        "100 weight vectors (N<=8): shift-pattern data passes at 32 sampled tau "
-        "(tol 1e-10); every injected forbidden entry fails",
+        "100 weight vectors (N<=8): shift-pattern data passes the exact "
+        "weight-shift pattern check; every injected forbidden entry fails",
         5.0,
         elapsed,
     )

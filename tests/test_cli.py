@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import modulikit.connection
-from modulikit import cli, connection, jordan, jsonio, quiver, weights
+from modulikit import cli, connection, jordan, jsonio, linalg, quiver, weights
 
 
 def _write(tmp_path, name, obj):
@@ -300,6 +300,47 @@ def test_selftest_detects_broken_involution(capsys, monkeypatch):
     assert code == 1
     assert report["result"] == "fail"
     assert "connection.involution_order_2" in report["violations"]
+
+
+def _rows(report):
+    return {row["name"]: row for row in report["properties"]}
+
+
+def test_selftest_kernel_that_raises_fails_only_its_own_rows(capsys, monkeypatch):
+    # a NaN from sharp makes gauge reject its input: each row that meets the
+    # ValueError fails with a null worst, and the suite still runs to the end
+    monkeypatch.setattr(linalg, "sharp", lambda h: np.full(np.shape(h), np.nan, dtype=complex))
+    code, report, err = _run(capsys, ["selftest", "--seed", "7"])
+    broken = ["linalg.sharp_involution", "linalg.sharp_multiplicative", "connection.involution_gauge_compat"]
+    assert code == 1 and err == ""
+    assert report["violations"] == broken
+    rows = _rows(report)
+    assert len(rows) == 25
+    for name in broken:
+        assert rows[name]["worst"] is None and not rows[name]["ok"]
+        assert rows[name]["samples"] == 200 and rows[name]["tol"] == 1e-10
+
+
+def test_selftest_memory_error_still_exits_2(capsys, monkeypatch):
+    def exhausted(h):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(linalg, "sharp", exhausted)
+    code, report, err = _run(capsys, ["selftest", "--seed", "7"])
+    assert code == 2 and report is None and err == "error: out of memory\n"
+
+
+def test_selftest_nan_measure_fails_its_row(capsys, monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN measure must not vanish into a passing row
+    monkeypatch.setattr(
+        jordan, "triple_product", lambda x, y, z: np.full(np.shape(x), np.nan, dtype=complex)
+    )
+    code, report, _ = _run(capsys, ["selftest", "--seed", "7"])
+    assert code == 1
+    rows = _rows(report)
+    for name in ["jordan.triple_identity", "jordan.quadratic_fields_commute"]:
+        assert rows[name]["ok"] is False and rows[name]["worst"] is None
+        assert name in report["violations"]
 
 
 # --- error handling ---------------------------------------------------------------------

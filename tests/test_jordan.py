@@ -168,12 +168,6 @@ def test_spectral_decomposition_validation():
         jordan.SpectralDecomposition(t=np.array([1.0]), u=np.eye(2), v=np.eye(2))
 
 
-def test_reconstruct_rejects_foreign_shape():
-    sd = jordan.spectral(np.zeros((2, 3)))
-    with pytest.raises(DimensionMismatchError):
-        jordan.reconstruct(sd, p=3, q=3)
-
-
 # --- vector fields ---------------------------------------------------------------------
 
 
