@@ -13,7 +13,6 @@ a kernel, fails that property's row alone, with ``worst`` written as null.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -391,31 +390,33 @@ def _prop_trace_rotation_invariant(rng, k):
 
 
 def _bruteforce_cycles(dq, max_len):
-    """All closed label words up to rotation, by exhaustive search.
+    """All closed label words up to rotation, by exhaustive walk search.
 
-    The tests keep their own copy of this oracle on purpose, so that a
-    fault here cannot hide the same fault in enumerate_cycles.
+    From every vertex it follows every walk of at most ``max_len`` arrows,
+    extending a word only by the arrows that leave its current head, and
+    keeps each walk that ends where it started.  It shares nothing with
+    enumerate_cycles but canonical_rotation: no prenecklace rule, no
+    pruning, no budget.  The tests' oracle filters every label string
+    instead, on purpose, so that each search checks the other.
     """
-    by_label = {a.label: a for a in dq.arrows}
-    labels = sorted(by_label)
+    leaving = {}
+    for a in dq.arrows:
+        leaving.setdefault(a.tail, []).append(a)
     found = set()
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(labels, repeat=length):
-            ok = True
-            for k in range(length):
-                here = by_label[combo[k]]
-                after = by_label[combo[(k + 1) % length]]
-                if here.head != after.tail:
-                    ok = False
-                    break
-            if ok:
-                found.add(quiver.canonical_rotation(combo))
+    for start in range(len(dq.dims)):
+        walks = [((), start)]
+        for _ in range(max_len):
+            walks = [
+                (word + (a.label,), a.head) for word, head in walks for a in leaving.get(head, ())
+            ]
+            found.update(quiver.canonical_rotation(word) for word, head in walks if head == start)
     return sorted(found, key=lambda w: (len(w), w))
 
 
 # Levels per chain of the weight doubles checked against brute force; one
-# vertex with a loop is the last sample.
-_CHAIN_SHAPES = ((1,), (2,), (3,), (4,), (1, 1), (2, 1), (2, 2), (3, 1), (1, 1, 1), (2, 1, 1), (1, 1, 1, 1))
+# vertex with a loop is the last sample.  (1,) is the one shape without
+# arrows.
+_CHAIN_SHAPES = ((1,), (2,), (3,), (4,), (5,), (2, 1), (2, 2), (3, 1), (3, 2), (2, 1, 1), (2, 2, 2))
 
 
 def _cycle_sample(k):

@@ -8,7 +8,6 @@ error bounds are meaningful.  The matrix samplers are the library's own
 
 from __future__ import annotations
 
-import itertools
 import os
 import subprocess
 import sys
@@ -68,13 +67,26 @@ def rel_err(diff, scale):
 
 
 def brute_cycles(dq, max_len):
-    """Independent oracle: filter all label words for cyclic path-consistency."""
+    """Independent oracle: filter all label words for cyclic path-consistency.
+
+    It builds every one of the ``n**L`` label strings of each length ``L``,
+    unlike the walk search in ``selftest._bruteforce_cycles``; the two
+    oracles differ on purpose, so that each checks the other.  The strings
+    are the columns of one index array, filtered by an adjacency lookup
+    per letter.
+    """
+    labels = sorted(a.label for a in dq.arrows)
     by_label = {a.label: a for a in dq.arrows}
+    # the reshape keeps follows 2-D (0 x 0) for a quiver without arrows
+    follows = np.array(
+        [[by_label[x].head == by_label[y].tail for y in labels] for x in labels], dtype=bool
+    ).reshape(len(labels), len(labels))
     found = set()
     for length in range(1, max_len + 1):
-        for combo in itertools.product(sorted(by_label), repeat=length):
-            arrows = [by_label[lbl] for lbl in combo]
-            if any(arrows[k].head != arrows[(k + 1) % length].tail for k in range(length)):
-                continue
-            found.add(quiver.canonical_rotation(combo))
+        strings = np.indices((len(labels),) * length).reshape(length, -1)
+        ok = np.ones(strings.shape[1], dtype=bool)
+        for k in range(length):
+            ok &= follows[strings[k], strings[(k + 1) % length]]
+        for combo in strings[:, ok].T:
+            found.add(quiver.canonical_rotation(tuple(labels[i] for i in combo)))
     return sorted(found, key=lambda w: (len(w), w))
