@@ -12,13 +12,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .connection import ConnectionData, FrameTuple
-from .weights import WeightData, WeightDecomposition, decompose
+from .weights import WeightData, WeightDecomposition, _int, decompose
 
 if TYPE_CHECKING:  # rep_from_json imports quiver when it runs
     from .quiver import DoubleQuiverRep
@@ -71,17 +70,6 @@ def _entries_text(m: np.ndarray) -> str:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
-
-
-def _int(value, path: str) -> int:
-    """A JSON integer; bool, float, null and string are rejected.
-
-    ``path`` names the value in error messages.  Nested decoders take an
-    ``at`` prefix, such as ``"A."``, for the JSON path of their input.
-    """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{path} must be an integer, got {value!r}")
 
 
 def _list(value, path: str) -> list:

@@ -23,7 +23,6 @@ paths, one representative per rotation class of the arrow-label word.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,7 @@ from .errors import (
     QuiverMismatchError,
 )
 from .linalg import DEFAULT_TOL, MOMENT_CONVENTIONS, as_matrix, invert, relative
-from .weights import WeightDecomposition
+from .weights import WeightDecomposition, _int
 
 # Cap applied to the default cycle length min(N^2, MAX_LEN_CAP).
 MAX_LEN_CAP = 12
@@ -59,6 +58,8 @@ def _check_arrows(dims: tuple[int, ...], arrows: tuple[Arrow, ...]) -> None:
     if any(d <= 0 for d in dims):
         raise ValueError("vertex dimensions must be positive")
     for k, a in enumerate(arrows):
+        _int(a.tail, f"arrows[{k}].tail")
+        _int(a.head, f"arrows[{k}].head")
         if not isinstance(a.label, str):
             raise ValueError(f"arrows[{k}].label must be a string, got {a.label!r:.40}")
     labels = [a.label for a in arrows]
@@ -77,7 +78,7 @@ class Quiver:
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(_int(d, f"dims[{k}]") for k, d in enumerate(self.dims)))
         object.__setattr__(self, "arrows", tuple(self.arrows))
         _check_arrows(self.dims, self.arrows)
 
@@ -275,21 +276,28 @@ def canonical_rotation(word: tuple[str, ...]) -> tuple[str, ...]:
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
-def _hops_back(dq: DoubleQuiver) -> list[list[float]]:
-    """``back[s][v]``: fewest arrows on a walk from vertex ``v`` to ``s``, inf if there is none."""
-    nv = len(dq.dims)
-    into = [[a.tail for a in dq.arrows if a.head == v] for v in range(nv)]
-    back = []
-    for s in range(nv):
-        dist, frontier = [math.inf] * nv, [s]
-        dist[s] = 0
-        while frontier:
-            v = frontier.pop(0)
-            for u in into[v]:
-                if dist[u] == math.inf:
-                    dist[u] = dist[v] + 1
-                    frontier.append(u)
-        back.append(dist)
+def _hops_back(dq: DoubleQuiver, depth: int) -> dict[int, dict[int, int]]:
+    """``back[s][v]``: fewest arrows on a walk from vertex ``v`` to ``s``.
+
+    ``s`` runs over the vertices where an arrow leaves, and ``back[s]``
+    holds only the vertices ``v`` within ``depth`` arrows of ``s``: a
+    missing ``v`` cannot reach ``s`` in ``depth`` arrows.
+    """
+    into = {}
+    for a in dq.arrows:
+        into.setdefault(a.head, []).append(a.tail)
+    back = {}
+    for s in {a.tail for a in dq.arrows}:
+        dist, frontier, hops = {s: 0}, [s], 0
+        while frontier and hops < depth:
+            hops, found = hops + 1, []
+            for v in frontier:
+                for u in into.get(v, ()):
+                    if u not in dist:
+                        dist[u] = hops
+                        found.append(u)
+            frontier = found
+        back[s] = dist
     return back
 
 
@@ -324,16 +332,16 @@ def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple):
     start exceeds the length it has left; every prefix of a closed walk
     within the bound passes, so no walk is lost.
 
-    The products of each representation along a level's closed words and
-    parents are formed in bulk: one stacked ``matrices[label] @
-    below[parents]`` per group of rows with the same last label and start
-    dimension, ``below`` holding the products along the level before, and
-    one batched ``np.trace`` per square shape.  These are the products of
-    :func:`cycle_trace` in its order, and the traces equal its traces bit
-    for bit.  The search keeps two levels of words and products, and it
-    builds a level only when its consumer asks for more walks:
-    :func:`equivalence_certificate`, which stops at its witness, never
-    builds a level past it.
+    The representations are a batch axis: each label's matrices are
+    stacked once, and one ``matrices[label] @ below[parents]`` per group
+    of rows with the same last label and start dimension extends the
+    products of every representation at once, ``below`` holding the
+    level before; one batched ``trace`` per start dimension reads them.
+    These are the products of :func:`cycle_trace` in its order, and the
+    traces equal its traces bit for bit.  The search keeps two levels of
+    words and products, and it builds a level only when its consumer asks
+    for more walks: :func:`equivalence_certificate`, which stops at its
+    witness, never builds a level past it.
 
     At most ``MAX_CYCLE_WORDS`` words are visited, counted in shortlex
     order: the level that crosses the budget is cut there, the walks among
@@ -344,18 +352,18 @@ def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple):
     outs = [[] for _ in dims]
     for x in sorted(by_label):
         outs[by_label[x].tail].append(x)
-    back = _hops_back(dq)
-    mats = [r.matrices for r in reps]
+    back = _hops_back(dq, max_len - 1)
+    mats = {x: np.stack([r.matrices[x] for r in reps]) for x in by_label} if reps else {}
 
     def products(below, place, level, groups):
         """The stores and places of the products along the rows of a level.
 
         ``groups[x, n]`` lists the rows with last label ``x`` and start
-        dimension ``n``.  Store ``(m, n)`` is a list with one array per
-        representation of the level's ``m x n`` products, stacked, and
-        ``place[i]`` is the index of the product along row ``i`` in its
-        store.  ``below`` and ``place`` come in as the stores and places
-        of the level before.
+        dimension ``n``.  Store ``(m, n)`` is one array of shape ``(rows,
+        reps, m, n)``: the level's ``m x n`` products, every representation
+        at once, and ``place[i]`` is the index of the product along row
+        ``i`` in its store.  ``below`` and ``place`` come in as the stores
+        and places of the level before.
         """
         parts, size, new = {}, {}, [0] * len(level)
         for (x, n), ids in groups.items():
@@ -364,24 +372,23 @@ def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple):
             at = size.get(key, 0)
             size[key] = at + len(ids)
             parents = [place[level[i][4]] for i in ids]
-            got = [m[x] @ src.take(parents, axis=0) for m, src in zip(mats, below[dims[a.tail], n])]
-            parts.setdefault(key, []).append(got)
+            parts.setdefault(key, []).append(mats[x] @ below[dims[a.tail], n].take(parents, axis=0))
             for i in ids:
                 new[i] = at
                 at += 1
-        stores = {
-            key: got[0] if len(got) == 1 else [np.concatenate(col) for col in zip(*got)]
-            for key, got in parts.items()
-        }
+        stores = {key: got[0] if len(got) == 1 else np.concatenate(got) for key, got in parts.items()}
         return stores, new
 
     # level 0 holds the empty walk at each vertex, row v at vertex v, with
-    # the identity as its product; a walk starts only where an arrow
-    # leaves, so a vertex with no arrows costs no identity
+    # the identity as its product, which the first products broadcast over
+    # the representations; a walk starts only where an arrow leaves, so a
+    # vertex with no arrows costs no identity
     starts = {dims[a.tail] for a in dq.arrows}
-    stores = {(d, d): [np.eye(d, dtype=complex)[None]] * len(reps) for d in starts}
+    stores = {(d, d): np.eye(d, dtype=complex)[None, None] for d in starts}
     level = [
-        ((x,), 1, a.tail, a.head, a.tail) for x, a in sorted(by_label.items()) if back[a.tail][a.head] < max_len
+        ((x,), 1, a.tail, a.head, a.tail)
+        for x, a in sorted(by_label.items())
+        if back[a.tail].get(a.head, max_len) < max_len
     ]
     place, visited, t = [0] * len(dims), 0, 1
     while level:
@@ -400,7 +407,7 @@ def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple):
             if not final:
                 floor, hops = word[t - p], back[start]
                 for x in outs[here]:
-                    if x >= floor and hops[head[x]] <= left:
+                    if x >= floor and hops.get(head[x], max_len) <= left:
                         kids.append((word + (x,), p if x == floor else t + 1, start, head[x], i))
                         need = True
             if need and reps:
@@ -414,8 +421,8 @@ def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple):
                 for i in closed:
                     n = dims[level[i][2]]
                     if n not in sums:
-                        sums[n] = [out.trace(axis1=1, axis2=2).tolist() for out in stores[n, n]]
-                    traces.append(tuple([col[place[i]] for col in sums[n]]))
+                        sums[n] = stores[n, n].trace(axis1=2, axis2=3).tolist()
+                    traces.append(tuple(sums[n][place[i]]))
         yield from zip((level[i][0] for i in closed), traces)
         if over:
             raise ValueError(f"cycle search at max_len {max_len} exceeds {MAX_CYCLE_WORDS} words")
@@ -473,10 +480,9 @@ def invariants(rep: DoubleQuiverRep, max_len: int | None = None) -> InvariantVec
 
     These are invariant under the gauge action at every vertex.  The
     level search of :func:`_closed_walks` finds the words in shortlex
-    order and carries their running products, so a word costs one row of
-    a stacked matrix product rather than one product per label, and every
-    trace equals :func:`cycle_trace` bit for bit.  A trace that is not
-    finite raises ValueError naming the shortlex-first such word.
+    order and carries their running products, and every trace equals
+    :func:`cycle_trace` bit for bit.  A trace that is not finite raises
+    ValueError naming the shortlex-first such word.
     """
     if max_len is None:
         max_len = default_max_len(rep)

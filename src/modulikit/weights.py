@@ -11,6 +11,7 @@ grading.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,24 @@ SAMPLE_COND_BOUND = 1e6
 WEIGHT_BOUND = 2**62
 
 
+def _int(value, path: str) -> int:
+    """An integer field; bool, float, None and str are rejected.
+
+    This is the one rule for every integer the library and the JSON
+    decoders take.  ``path`` names the value in error messages; the
+    decoders prefix it with the JSON path of their input, such as ``"A."``.
+    """
+    # int and np.integer are Integral too, and cheaper to test than the ABC
+    if isinstance(value, (int, np.integer, numbers.Integral)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{path} must be an integer, got {value!r}")
+
+
 def _normalize_weight(w, rank: int, k: int) -> tuple[int, ...]:
     if np.isscalar(w):
-        vec = (int(w),)
+        vec = (_int(w, f"weights[{k}]"),)
     else:
-        vec = tuple(int(c) for c in w)
+        vec = tuple(_int(c, f"weights[{k}][{j}]") for j, c in enumerate(w))
     if len(vec) != rank:
         raise DimensionMismatchError(f"weights[{k}] has length {len(vec)}, expected rank {rank}")
     if any(abs(c) >= WEIGHT_BOUND for c in vec):
@@ -53,7 +67,7 @@ class WeightData:
     weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rank = int(self.rank)
+        rank = _int(self.rank, "rank")
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
         weights = tuple(_normalize_weight(w, rank, k) for k, w in enumerate(self.weights))

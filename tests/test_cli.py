@@ -14,6 +14,7 @@ import pytest
 
 import modulikit.connection
 from modulikit import cli, connection, jordan, jsonio, linalg, quiver, weights
+from util import run_fresh
 
 
 def _write(tmp_path, name, obj):
@@ -580,6 +581,26 @@ def test_a_vertex_with_no_arrows_costs_nothing(tmp_path, capsys):
     code, report, err = _run(capsys, ["equiv", "--input", path, "--input", path])
     assert code == 0 and err == ""
     assert report["result"] == {"verdict": "indistinguishable", "max_len": 12}
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from Linux procfs")
+def test_many_arrowless_vertices_build_no_hop_table(tmp_path):
+    # a V x V table of hop distances would hold 16 million floats here;
+    # the search keeps, per start, only the vertices within max_len - 1.
+    # VmHWM is the fresh interpreter's own peak: ru_maxrss would carry the
+    # peak of the test process, which Linux keeps across fork and exec
+    path = _write(tmp_path, "idle.json", {"vertices": [1] * 4000, "arrows": [], "matrices": {}})
+    run = run_fresh(
+        "import sys\n"
+        "from modulikit import cli\n"
+        f"code = cli.main(['invariants', '--input', {path!r}, '--max-len', '2'])\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(*[line for line in f if line.startswith('VmHWM:')], file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["result"]["entries"] == {}
+    assert int(run.stderr.split()[-2]) < 100 * 1024  # "VmHWM: <n> kB"
 
 
 def test_running_out_of_memory_exits_2(tmp_path, capsys):

@@ -130,6 +130,20 @@ def test_quiver_rejects_non_string_labels(label):
         quiver.double(quiver.Quiver(dims=(1,), arrows=arrows[1:]))
 
 
+@pytest.mark.parametrize(
+    "dims, arrow, match",
+    [
+        ((2.7, 1), quiver.Arrow(0, 1, "A1"), r"dims\[0\] must be an integer, got 2\.7"),
+        ((2, True), quiver.Arrow(0, 1, "A1"), r"dims\[1\] must be an integer, got True"),
+        ((2, 1), quiver.Arrow(0.0, 1, "A1"), r"arrows\[0\]\.tail must be an integer, got 0\.0"),
+        ((2, 1), quiver.Arrow(0, True, "A1"), r"arrows\[0\]\.head must be an integer, got True"),
+    ],
+)
+def test_quiver_integer_fields_are_not_truncated(dims, arrow, match):
+    with pytest.raises(ValueError, match=match):
+        quiver.Quiver(dims=dims, arrows=(arrow,))
+
+
 def test_same_quiver_ignores_arrow_order():
     dq = _chain_double([0, 1])
     reordered = quiver.DoubleQuiver(dims=dq.dims, arrows=tuple(reversed(dq.arrows)))
@@ -426,6 +440,18 @@ def test_invariants_equal_cycle_trace_bit_for_bit():
         words = quiver.enumerate_cycles(dq, max_len)
         assert list(entries) == words  # shortlex order
         assert all(entries[w] == quiver.cycle_trace(rep, w) for w in words)
+
+
+def test_two_representation_traces_equal_cycle_trace_bit_for_bit():
+    rng = np.random.default_rng(SEED + 15)
+    for dq, max_len in _search_cases():
+        r1 = _random_rep(rng, dq)
+        moved = quiver.gauge_action(r1, [disk_invertible(rng, d) for d in dq.dims])
+        for r2 in (moved, _random_rep(rng, dq)):
+            walks = list(quiver._closed_walks(dq, max_len, (r1, r2)))
+            assert [word for word, _ in walks] == quiver.enumerate_cycles(dq, max_len)
+            for word, traces in walks:
+                assert traces == (quiver.cycle_trace(r1, word), quiver.cycle_trace(r2, word))
 
 
 def _shortlex_scan(r1, r2, words, tol):

@@ -90,6 +90,28 @@ def test_weight_data_validation():
 
 
 @pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: weights.WeightData.of([0.5, 1.7, 2.2]), r"weights\[0\] must be an integer, got 0\.5"),
+        (lambda: weights.WeightData.of([(0, 1), (2, 2.0)]), r"weights\[1\]\[1\] must be an integer"),
+        (lambda: weights.WeightData.of([float("inf")]), r"weights\[0\] must be an integer, got inf"),
+        (lambda: weights.WeightData.of([0, True]), r"weights\[1\] must be an integer, got True"),
+        (lambda: weights.WeightData(rank=1.9, weights=((0,),)), r"rank must be an integer, got 1\.9"),
+    ],
+)
+def test_weight_data_fields_must_be_integers(build, match):
+    # the rule of the JSON decoders: an Integral that is not a bool, never truncated
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_weight_data_accepts_numpy_integers():
+    w = weights.WeightData(rank=np.int64(1), weights=tuple(np.arange(3)))
+    assert w.rank == 1 and w.weights == ((0,), (1,), (2,))
+    assert all(type(c) is int for vec in w.weights for c in vec)
+
+
+@pytest.mark.parametrize(
     "w, ok", [(2**62 - 1, True), (1 - 2**62, True), (2**62, False), (-(2**62), False), (2**70, False)]
 )
 def test_weight_entries_must_fit_exact_differences(w, ok):
