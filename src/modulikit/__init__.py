@@ -64,9 +64,9 @@ _EXPORTS = {
         "WeightBlock",
         "WeightData",
         "WeightDecomposition",
-        "chains",
         "commutant_contains",
         "commutant_dim",
+        "components",
         "decompose",
         "sample_commutant",
     ),

@@ -72,12 +72,14 @@ def _decompose(args, w):
 
     d = weights.decompose(w)
     blocks = [{"weight": list(b.weight), "indices": list(b.indices)} for b in d.blocks]
-    chain_rows = None
-    if d.rank == 1:
-        chain_rows = [
-            {"base_weight": run[0].weight[0], "dims": [b.dim for b in run], "indices": [list(b.indices) for b in run]}
-            for run in weights.chains(d)
-        ]
+    chain_rows = [
+        {
+            "base_weight": comp[0].weight[0] if d.rank == 1 else list(comp[0].weight),
+            "dims": [b.dim for b in comp],
+            "indices": [list(b.indices) for b in comp],
+        }
+        for comp in weights.components(d)
+    ]
     return 0, {"result": {"rank": d.rank, "dim": d.dim, "blocks": blocks, "chains": chain_rows}}
 
 
@@ -180,7 +182,7 @@ def _selftest(args):
 
 COMMANDS = {
     "decompose": Command(
-        "weight blocks and chains of integer weight data", ("weight_data",), None, _decompose
+        "weight blocks and weight-quiver components of weight data", ("weight_data",), None, _decompose
     ),
     "validate": Command(
         "exact weight-shift pattern check of connection data", ("connection",), None, _validate

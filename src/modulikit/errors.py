@@ -17,10 +17,6 @@ class NotPositiveDefiniteError(ModulikitError, ValueError):
     """Matrix is not hermitian positive definite within tolerance."""
 
 
-class RankNotOneError(ModulikitError, ValueError):
-    """Operation is only defined for torus rank 1."""
-
-
 class NotUnitModulusError(ModulikitError, ValueError):
     """Torus parameter does not lie on the unit circle."""
 

@@ -140,17 +140,10 @@ def weight_data_from_json(obj, at: str = "") -> WeightData:
     name = at[:-1] or "weight data"
     _require(isinstance(obj, dict), f"{name} must be a JSON object")
     _require(set(obj) >= {"rank", "weights"}, f"{name} needs rank and weights")
-    rank = _int(obj["rank"], f"{at}rank")
     ws = obj["weights"]
     _require(isinstance(ws, list) and ws, f"{at}weights must be a nonempty list")
-    vecs = []
-    for k, w in enumerate(ws):
-        if isinstance(w, list):
-            vecs.append(tuple(_int(c, f"{at}weights[{k}][{j}]") for j, c in enumerate(w)))
-        else:
-            vecs.append((_int(w, f"{at}weights[{k}]"),))
     try:
-        return WeightData(rank=rank, weights=tuple(vecs))
+        return WeightData(rank=obj["rank"], weights=tuple(ws))
     except ValueError as exc:
         # WeightData names its fields (rank, weights[k]) relative to itself
         raise type(exc)(f"{at}{exc}") from None

@@ -43,7 +43,10 @@ SINGULAR_RTOL = 1e-12
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
     """Coerce ``a`` to a complex 2-D array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=complex)
+    try:
+        m = np.asarray(a, dtype=complex)
+    except TypeError as exc:
+        raise ValueError(f"matrix entries must be numbers: {exc}") from None
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size and not np.all(np.isfinite(m)):

@@ -1,13 +1,14 @@
 """Weight quivers, their doubles, moment maps, and trace invariants.
 
-A weight grading of any torus rank yields its weight quiver: one vertex
-per weight block, and one arrow from block ``j`` to block ``l`` whenever
-``w_l - w_j = e_i``, the shift on which the raising matrix ``A_i`` may be
-nonzero.  At rank 1 it is one linear chain per run of consecutive
-weights.  Doubling adds the reversed arrow for every original one
-(``A<rest>`` pairs with ``B<rest>``, any other label ``X`` with ``X_op``).
-Connection data restricted to its allowed blocks is exactly a
-representation of the double.
+A weight grading of any torus rank yields its weight quiver
+(``weights._weight_arrows``): one vertex per weight block, and one arrow
+from block ``j`` to block ``l`` whenever ``w_l - w_j = e_i``, the shift on
+which the raising matrix ``A_i`` may be nonzero.  At rank 1 it is one
+linear chain per run of consecutive weights; at every rank its connected
+components are ``weights.components``.  Doubling adds the reversed arrow
+for every original one (``A<rest>`` pairs with ``B<rest>``, any other
+label ``X`` with ``X_op``).  Connection data restricted to its allowed
+blocks is exactly a representation of the double.
 
 Two moment-map conventions are provided.  With ``"paper"`` the sum runs
 over every arrow of the double, which makes the map vanish identically:
@@ -34,7 +35,7 @@ from .errors import (
     QuiverMismatchError,
 )
 from .linalg import DEFAULT_TOL, MOMENT_CONVENTIONS, as_matrix, invert, relative
-from .weights import WeightDecomposition, _int
+from .weights import WeightDecomposition, _int, _weight_arrows
 
 # Cap applied to the default cycle length min(N^2, MAX_LEN_CAP).
 MAX_LEN_CAP = 12
@@ -58,6 +59,8 @@ def _check_arrows(dims: tuple[int, ...], arrows: tuple[Arrow, ...]) -> None:
     if any(d <= 0 for d in dims):
         raise ValueError("vertex dimensions must be positive")
     for k, a in enumerate(arrows):
+        if not isinstance(a, Arrow):
+            raise ValueError(f"arrows[{k}] must be an Arrow, got {a!r:.40}")
         _int(a.tail, f"arrows[{k}].tail")
         _int(a.head, f"arrows[{k}].head")
         if not isinstance(a.label, str):
@@ -162,25 +165,6 @@ class DoubleQuiverRep:
     @property
     def total_dim(self) -> int:
         return sum(self.quiver.dims)
-
-
-def _weight_arrows(d: WeightDecomposition):
-    """Arrows of the weight quiver of ``d``, numbered by (tail block, direction).
-
-    Yields ``(k, i, tail, head)`` for arrow ``A<k>``: ``tail`` and ``head``
-    are block positions with ``w_head - w_tail = e_i``, the shift on which
-    ``A_i`` may be nonzero.  ``B<k>`` is the same arrow reversed, on the
-    shift ``-e_i`` that ``B_i`` may use.
-    """
-    at = {block.weight: v for v, block in enumerate(d.blocks)}
-    k = 0
-    for tail, block in enumerate(d.blocks):
-        w = block.weight
-        for i in range(d.rank):
-            head = at.get(w[:i] + (w[i] + 1,) + w[i + 1 :])
-            if head is not None:
-                k += 1
-                yield k, i, tail, head
 
 
 def weight_quiver(d: WeightDecomposition) -> Quiver:
@@ -347,6 +331,8 @@ def _closed_walks(dq: DoubleQuiver, max_len: int, reps: tuple):
     order: the level that crosses the budget is cut there, the walks among
     its first words are yielded, and then ValueError is raised.
     """
+    if _int(max_len, "max_len") < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     by_label, dims = dq.by_label, dq.dims
     head = {x: a.head for x, a in by_label.items()}
     outs = [[] for _ in dims]

@@ -205,7 +205,7 @@ def _prop_decompose_permutation(rng, k):
 @_property(0.0, _failures)
 def _prop_chains_lossless(rng, k):
     d = _rand_decomposition(rng)
-    runs = weights.chains(d)
+    runs = weights.components(d)
     if sum(b.dim for run in runs for b in run) != d.dim:
         return False
     rebuilt = tuple(

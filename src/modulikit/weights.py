@@ -4,9 +4,9 @@ A homomorphism from a rank-r torus into GL_N(C) that is diagonal in the
 standard basis is encoded by one integer weight vector per basis index:
 the torus element ``tau`` acts on index ``i`` by the scalar
 ``prod_k tau_k ** m[i][k]``.  This module groups equal weight vectors into
-the graded decomposition, splits rank-1 gradings into maximal runs of
-consecutive weights, and works with the block-diagonal centralizer of the
-grading.
+the graded decomposition, joins two blocks in the weight quiver when their
+weights differ by a unit vector, splits the grading into the connected
+components of that quiver, and works with the block-diagonal centralizer.
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sampling import unit_disk
-from .errors import (
-    DimensionMismatchError,
-    NotUnitModulusError,
-    RankNotOneError,
-)
+from .errors import DimensionMismatchError, NotUnitModulusError
 from .linalg import DEFAULT_TOL, as_matrix, frob, relative
 
 # |tau| must sit on the unit circle within this absolute slack.
@@ -32,6 +28,8 @@ SAMPLE_COND_BOUND = 1e6
 # w_i - w_j, which the covariance checks and the gauge action use, is exact
 # in int64.
 WEIGHT_BOUND = 2**62
+# A weight entry of one of these types is a vector; any other is one integer.
+_VECTOR = (list, tuple, np.ndarray)
 
 
 def _int(value, path: str) -> int:
@@ -48,10 +46,10 @@ def _int(value, path: str) -> int:
 
 
 def _normalize_weight(w, rank: int, k: int) -> tuple[int, ...]:
-    if np.isscalar(w):
-        vec = (_int(w, f"weights[{k}]"),)
-    else:
+    if isinstance(w, _VECTOR):
         vec = tuple(_int(c, f"weights[{k}][{j}]") for j, c in enumerate(w))
+    else:
+        vec = (_int(w, f"weights[{k}]"),)
     if len(vec) != rank:
         raise DimensionMismatchError(f"weights[{k}] has length {len(vec)}, expected rank {rank}")
     if any(abs(c) >= WEIGHT_BOUND for c in vec):
@@ -80,10 +78,8 @@ class WeightData:
     def of(cls, weights, rank: int | None = None) -> "WeightData":
         """Build weight data, inferring the rank from the first entry."""
         ws = list(weights)
-        if not ws:
-            raise ValueError("weight data needs at least one basis index")
         if rank is None:
-            rank = 1 if np.isscalar(ws[0]) else len(tuple(ws[0]))
+            rank = len(ws[0]) if ws and isinstance(ws[0], _VECTOR) else 1
         return cls(rank=rank, weights=tuple(ws))
 
     @property
@@ -138,21 +134,45 @@ def decompose(w: WeightData) -> WeightDecomposition:
     return WeightDecomposition(rank=w.rank, dim=w.dim, blocks=blocks)
 
 
-def chains(d: WeightDecomposition) -> tuple[tuple[WeightBlock, ...], ...]:
-    """Split a rank-1 decomposition into maximal runs of consecutive weights.
+def _weight_arrows(d: WeightDecomposition):
+    """Arrows of the weight quiver of ``d``, numbered by (tail block, direction).
 
-    Each run holds the blocks of weights ``m, m+1, ..., m+l`` in order;
-    runs split at weight gaps of at least 2.
+    Yields ``(k, i, tail, head)`` for arrow ``A<k>``: ``tail`` and ``head``
+    are block positions with ``w_head - w_tail = e_i``, the shift on which
+    ``A_i`` may be nonzero.  ``B<k>`` is the same arrow reversed, on the
+    shift ``-e_i`` that ``B_i`` may use.
     """
-    if d.rank != 1:
-        raise RankNotOneError(f"chain decomposition needs rank 1, got rank {d.rank}")
-    runs: list[list[WeightBlock]] = []
-    for block in d.blocks:
-        if runs and block.weight[0] == runs[-1][-1].weight[0] + 1:
-            runs[-1].append(block)
-        else:
-            runs.append([block])
-    return tuple(map(tuple, runs))
+    at = {block.weight: v for v, block in enumerate(d.blocks)}
+    k = 0
+    for tail, block in enumerate(d.blocks):
+        w = block.weight
+        for i in range(d.rank):
+            head = at.get(w[:i] + (w[i] + 1,) + w[i + 1 :])
+            if head is not None:
+                k += 1
+                yield k, i, tail, head
+
+
+def components(d: WeightDecomposition) -> tuple[tuple[WeightBlock, ...], ...]:
+    """Connected components of the weight quiver of ``d``, each in block order, by first block.
+
+    At rank 1 they are the maximal runs of consecutive weights ``m, m+1, ..., m+l``.
+    """
+    root = list(range(len(d.blocks)))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for _, _, tail, head in _weight_arrows(d):
+        a, b = find(tail), find(head)
+        root[max(a, b)] = min(a, b)
+    groups: dict[int, list[WeightBlock]] = {}
+    for v, block in enumerate(d.blocks):
+        groups.setdefault(find(v), []).append(block)
+    return tuple(map(tuple, groups.values()))
 
 
 def phase_vector(d: WeightDecomposition, tau) -> np.ndarray:

@@ -61,11 +61,16 @@ def test_decompose_reports_blocks_and_chains(tmp_path, capsys):
     assert [c["dims"] for c in report["result"]["chains"]] == [[2, 1], [1]]
 
 
-def test_decompose_rank2_has_no_chains(tmp_path, capsys):
-    path = _write(tmp_path, "w.json", {"rank": 2, "weights": [[0, 0], [1, 0]]})
+def test_decompose_rank2_reports_weight_quiver_components(tmp_path, capsys):
+    ws = [[0, 0], [1, 0], [0, 1], [3, 3], [1, 1], [5, 0]]
+    path = _write(tmp_path, "w.json", {"rank": 2, "weights": ws})
     code, report, _ = _run(capsys, ["decompose", "--input", path])
     assert code == 0
-    assert report["result"]["chains"] is None
+    assert report["result"]["chains"] == [
+        {"base_weight": [0, 0], "dims": [1, 1, 1, 1], "indices": [[0], [2], [1], [4]]},
+        {"base_weight": [3, 3], "dims": [1], "indices": [[3]]},
+        {"base_weight": [5, 0], "dims": [1], "indices": [[5]]},
+    ]
 
 
 # --- validate -----------------------------------------------------------------

@@ -257,3 +257,8 @@ def test_as_matrix_rejects_nonfinite():
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(DimensionMismatchError):
         linalg.as_matrix(np.ones(3))
+
+
+def test_as_matrix_rejects_entries_that_are_not_numbers():
+    with pytest.raises(ValueError, match="matrix entries must be numbers"):
+        linalg.as_matrix([[object()]])

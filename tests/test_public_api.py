@@ -30,10 +30,10 @@ PUBLIC = [
     "WeightData",
     "WeightDecomposition",
     "are_orthogonal",
-    "chains",
     "commutant_contains",
     "commutant_dim",
     "commutator",
+    "components",
     "connection",
     "decompose",
     "double",

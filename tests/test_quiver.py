@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -80,10 +81,11 @@ def test_rank1_weight_quiver_chains_each_run():
     rng = np.random.default_rng(SEED + 12)
     for _ in range(200):
         d = _decomp([int(v) for v in rng.integers(-5, 6, int(rng.integers(1, 10)))])
+        # the rank-1 runs rule: an arrow joins each pair of consecutive weights
         want = [
-            (d.blocks.index(lo), d.blocks.index(hi))
-            for run in weights.chains(d)
-            for lo, hi in zip(run, run[1:])
+            (v, v + 1)
+            for v, (lo, hi) in enumerate(zip(d.blocks, d.blocks[1:]))
+            if hi.weight[0] == lo.weight[0] + 1
         ]
         q = quiver.weight_quiver(d)
         assert q.dims == tuple(b.dim for b in d.blocks)
@@ -142,6 +144,11 @@ def test_quiver_rejects_non_string_labels(label):
 def test_quiver_integer_fields_are_not_truncated(dims, arrow, match):
     with pytest.raises(ValueError, match=match):
         quiver.Quiver(dims=dims, arrows=(arrow,))
+
+
+def test_quiver_arrows_must_be_arrows():
+    with pytest.raises(ValueError, match=r"arrows\[0\] must be an Arrow, got \(0, 0, 'x'\)"):
+        quiver.Quiver(dims=(1,), arrows=((0, 0, "x"),))
 
 
 def test_same_quiver_ignores_arrow_order():
@@ -311,7 +318,8 @@ def test_enumerate_cycles_single_pair():
     dq = _chain_double([0, 1])
     assert quiver.enumerate_cycles(dq, 2) == [("A1", "B1")]
     assert quiver.enumerate_cycles(dq, 1) == []
-    assert quiver.enumerate_cycles(dq, 0) == []
+    with pytest.raises(ValueError, match="max_len must be >= 1, got 0"):
+        quiver.enumerate_cycles(dq, 0)
 
 
 def test_enumerate_cycles_two_pair_chain():
@@ -373,6 +381,25 @@ def test_enumerate_cycles_stops_past_its_word_budget():
     assert len(quiver.enumerate_cycles(_loop_double(), 20)) == necklaces
     with pytest.raises(ValueError, match="max_len 21"):
         quiver.enumerate_cycles(_loop_double(), 21)
+
+
+@pytest.mark.parametrize("max_len", [0, -3, True, 2.5])
+@pytest.mark.parametrize("entry", ["equivalence_certificate", "invariants", "enumerate_cycles"])
+def test_cycle_searches_need_an_integer_max_len_of_at_least_one(entry, max_len):
+    # on this pair the default search finds a difference; no bound may hide it
+    inputs = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+    r1, r2 = (
+        jsonio.rep_from_json(json.loads((inputs / f).read_text()))
+        for f in ("rep_chain.json", "rep_chain_other.json")
+    )
+    assert quiver.equivalence_certificate(r1, r2).distinct
+    calls = {
+        "equivalence_certificate": lambda: quiver.equivalence_certificate(r1, r2, max_len=max_len),
+        "invariants": lambda: quiver.invariants(r1, max_len=max_len),
+        "enumerate_cycles": lambda: quiver.enumerate_cycles(r1.quiver, max_len),
+    }
+    with pytest.raises(ValueError, match="max_len must be"):
+        calls[entry]()
 
 
 def test_enumerate_cycles_walks_far_beyond_the_recursion_limit():

@@ -1,4 +1,4 @@
-"""Weight grading tests: decomposition, chains, torus action, centralizer."""
+"""Weight grading tests: decomposition, weight-quiver components, torus action, centralizer."""
 
 from __future__ import annotations
 
@@ -7,11 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from modulikit import weights
-from modulikit.errors import (
-    DimensionMismatchError,
-    NotUnitModulusError,
-    RankNotOneError,
-)
+from modulikit.errors import DimensionMismatchError, NotUnitModulusError
 from util import cnormal, f_of, rel_err
 
 SEED = 20260814
@@ -97,10 +93,16 @@ def test_weight_data_validation():
         (lambda: weights.WeightData.of([float("inf")]), r"weights\[0\] must be an integer, got inf"),
         (lambda: weights.WeightData.of([0, True]), r"weights\[1\] must be an integer, got True"),
         (lambda: weights.WeightData(rank=1.9, weights=((0,),)), r"rank must be an integer, got 1\.9"),
+        (lambda: weights.WeightData.of([None]), r"weights\[0\] must be an integer, got None"),
+        (lambda: weights.WeightData.of([{}]), r"weights\[0\] must be an integer, got \{\}"),
+        (lambda: weights.WeightData.of(["x"]), r"weights\[0\] must be an integer, got 'x'"),
+        (lambda: weights.WeightData.of([0, None]), r"weights\[1\] must be an integer, got None"),
+        (lambda: weights.WeightData.of([[0, None]]), r"weights\[0\]\[1\] must be an integer, got None"),
     ],
 )
 def test_weight_data_fields_must_be_integers(build, match):
-    # the rule of the JSON decoders: an Integral that is not a bool, never truncated
+    # the rule of the JSON decoders: an Integral that is not a bool, never truncated;
+    # only a list, tuple or array is a weight vector, anything else is one integer
     with pytest.raises(ValueError, match=match):
         build()
 
@@ -122,12 +124,45 @@ def test_weight_entries_must_fit_exact_differences(w, ok):
             weights.WeightData.of([0, w])
 
 
-# --- chains: runs of consecutive weights --------------------------------------
+# --- components of the weight quiver -----------------------------------------
 
 
 def _runs(d):
-    """Base weight and block dims of each run."""
-    return [(run[0].weight[0], tuple(b.dim for b in run)) for run in weights.chains(d)]
+    """Base weight and block dims of each component."""
+    return [(comp[0].weight[0], tuple(b.dim for b in comp)) for comp in weights.components(d)]
+
+
+def _consecutive_runs(d):
+    """Rank-1 oracle: the maximal runs of consecutive weights, in block order."""
+    runs = []
+    for block in d.blocks:
+        if runs and block.weight[0] == runs[-1][-1].weight[0] + 1:
+            runs[-1].append(block)
+        else:
+            runs.append([block])
+    return tuple(map(tuple, runs))
+
+
+def _unit_difference_bfs(d):
+    """Oracle at any rank: BFS over all block pairs whose weights differ by +-e_i."""
+    def adjacent(u, v):
+        return sum(abs(x - y) for x, y in zip(u.weight, v.weight)) == 1
+
+    seen, comps = set(), []
+    for start in range(len(d.blocks)):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [], [start]
+        while queue:
+            u = queue.pop()
+            comp.append(u)
+            for v, block in enumerate(d.blocks):
+                if v not in seen and adjacent(d.blocks[u], block):
+                    seen.add(v)
+                    queue.append(v)
+        comps.append(tuple(d.blocks[v] for v in sorted(comp)))
+    return tuple(comps)
 
 
 def test_chains_split_at_gaps():
@@ -140,18 +175,13 @@ def test_chains_consecutive_is_one_chain():
     assert _runs(d) == [(0, (1, 1, 1))]
 
 
-def test_chains_require_rank_one():
-    w = weights.WeightData(rank=2, weights=((0, 0), (1, 0)))
-    with pytest.raises(RankNotOneError):
-        weights.chains(weights.decompose(w))
-
-
 def test_chains_reconstruct_decomposition():
     rng = np.random.default_rng(SEED + 1)
     for _ in range(50):
         n = int(rng.integers(1, 9))
         d = weights.decompose(weights.WeightData.of([int(v) for v in rng.integers(-4, 5, n)]))
-        runs = weights.chains(d)
+        runs = weights.components(d)
+        assert runs == _consecutive_runs(d)
         assert sum(b.dim for run in runs for b in run) == d.dim
         rebuilt = [
             weights.WeightBlock(weight=(run[0].weight[0] + lvl,), indices=b.indices)
@@ -159,6 +189,24 @@ def test_chains_reconstruct_decomposition():
             for lvl, b in enumerate(run)
         ]
         assert tuple(rebuilt) == d.blocks
+
+
+def test_components_of_a_rank2_grading():
+    d = weights.decompose(weights.WeightData.of([(0, 0), (1, 0), (0, 1), (3, 3), (1, 1), (5, 0)]))
+    assert [[b.weight for b in comp] for comp in weights.components(d)] == [
+        [(0, 0), (0, 1), (1, 0), (1, 1)],
+        [(3, 3)],
+        [(5, 0)],
+    ]
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_components_match_unit_difference_bfs(rank):
+    rng = np.random.default_rng(SEED + 20 + rank)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        d = weights.decompose(weights.WeightData.of(rng.integers(-2, 3, (n, rank)).tolist()))
+        assert weights.components(d) == _unit_difference_bfs(d)
 
 
 # --- torus action ---------------------------------------------------------------
