@@ -148,7 +148,7 @@ def _moment(args, rep):
     from . import quiver
 
     mus = quiver.moment_map(rep, convention=args.convention)
-    worst = max((float(np.max(np.abs(mu))) for mu in mus if mu.size), default=0.0)
+    worst = max((float(np.abs(mu).max()) for mu in mus if mu.size), default=0.0)
     return 0, {
         "result": {
             "convention": args.convention,

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NotInCommutantError
-from .linalg import DEFAULT_TOL, as_matrix, dagger, frob, invert, relative
-from .weights import WeightDecomposition, commutant_contains
+from .linalg import DEFAULT_TOL, _invert, as_matrix, dagger, frob, relative
+from .weights import WeightDecomposition, _in_commutant
 
 
 def _locked(m: np.ndarray) -> np.ndarray:
@@ -251,13 +251,14 @@ def gauge(c: ConnectionData, h, tol: float = DEFAULT_TOL) -> ConnectionData:
     d = c.decomposition
     if h.shape[0] != d.dim:
         raise DimensionMismatchError(f"gauge matrix is {h.shape}, grading has dim {d.dim}")
-    if not commutant_contains(d, h, tol):
+    off = d.shifts().any(axis=-1)
+    if not _in_commutant(h, off, tol):
         raise NotInCommutantError("gauge matrix is not block diagonal for the grading")
-    hb = np.where(d.shifts().any(axis=-1), 0, h)
+    hb = np.where(off, 0, h)
     hinv = np.zeros_like(hb)
     for block in d.blocks:
         ix = np.ix_(block.indices, block.indices)
-        hinv[ix] = invert(hb[ix])
+        hinv[ix] = _invert(hb[ix])
     return ConnectionData(
         decomposition=d,
         a_list=tuple(hb @ a @ hinv for a in c.a_list),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotTripotentError
-from .linalg import DEFAULT_TOL, as_matrix, dagger, frob, is_unitary, relative
+from .linalg import DEFAULT_TOL, _is_unitary, as_matrix, dagger, frob, relative
 
 # Unitarity slack accepted on spectral frames.
 FRAME_TOL = 1e-10
@@ -35,7 +35,11 @@ def _same_shape(*mats: np.ndarray) -> None:
 
 def triple_product(x, y, z) -> np.ndarray:
     """Jordan triple product ``(x y^* z + z y^* x) / 2``."""
-    x, y, z = as_matrix(x), as_matrix(y), as_matrix(z)
+    return _triple(as_matrix(x), as_matrix(y), as_matrix(z))
+
+
+def _triple(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """:func:`triple_product` of checked matrices."""
     _same_shape(x, y, z)
     yd = dagger(y)
     return (x @ yd @ z + z @ yd @ x) / 2.0
@@ -44,7 +48,7 @@ def triple_product(x, y, z) -> np.ndarray:
 def is_tripotent(e, tol: float = DEFAULT_TOL) -> bool:
     """True when ``{e; e; e} = e`` within tolerance (relative to ``|e|``)."""
     e = as_matrix(e)
-    return relative(frob(triple_product(e, e, e) - e), frob(e)) <= tol
+    return relative(frob(_triple(e, e, e) - e), frob(e)) <= tol
 
 
 def are_orthogonal(e1, e2, tol: float = DEFAULT_TOL) -> bool:
@@ -81,10 +85,10 @@ class SpectralDecomposition:
             raise DimensionMismatchError(
                 "need one singular value per unit of min(p, q)"
             )
-        if t.size and (t[0] < -FRAME_TOL or np.any(np.diff(t) < -FRAME_TOL)):
+        if t.size and (t[0] < -FRAME_TOL or (np.diff(t) < -FRAME_TOL).any()):
             raise ValueError("singular values must be nonnegative and ascending")
         for name, m in (("u", u), ("v", v)):
-            if not is_unitary(m, FRAME_TOL):
+            if not _is_unitary(m, FRAME_TOL):
                 raise ValueError(f"frame matrix {name} is not unitary within tolerance")
         t = np.maximum(t, 0.0)
         u = np.array(u, dtype=complex)

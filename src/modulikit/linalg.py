@@ -12,6 +12,11 @@ changes no verdict.  ``ABS_FLOOR`` only keeps a zero scale from dividing
 by zero.
 
 All functions are pure and never mutate their arguments.
+
+Input boundary: a public function that takes a raw array checks it once,
+with :func:`as_matrix`; a kernel on an array already checked by its caller
+or a constructor calls a private core such as :func:`_invert`.  Arithmetic
+results keep their check: the constructor they go to rejects an overflow.
 """
 
 from __future__ import annotations
@@ -42,14 +47,19 @@ SINGULAR_RTOL = 1e-12
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
-    """Coerce ``a`` to a complex 2-D array, rejecting non-finite entries."""
-    try:
-        m = np.asarray(a, dtype=complex)
-    except TypeError as exc:
-        raise ValueError(f"matrix entries must be numbers: {exc}") from None
+    """Coerce ``a`` to a complex 2-D array, rejecting text and non-finite entries."""
+    m = a
+    if type(m) is not np.ndarray or m.dtype != complex:
+        m = np.asarray(m)
+        if m.dtype.kind in "OSU" and any(isinstance(x, (str, bytes)) for x in m.flat):
+            raise ValueError("matrix entries must be numbers, not text")
+        try:
+            m = m.astype(complex)
+        except TypeError as exc:
+            raise ValueError(f"matrix entries must be numbers: {exc}") from None
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if square and m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
@@ -76,10 +86,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def invert(h) -> np.ndarray:
     """``np.linalg.inv(h)``, or SingularMatrixError by the ``SINGULAR_RTOL`` rule."""
-    h = as_matrix(h, square=True)
+    return _invert(as_matrix(h, square=True))
+
+
+def _invert(h: np.ndarray) -> np.ndarray:
+    """:func:`invert` of a square complex matrix that is already checked."""
     if h.shape[0] == 0:
         return h.copy()
-    s = float(np.max(np.abs(h)))
+    s = float(np.abs(h).max())
     if s == 0.0:
         raise SingularMatrixError("matrix is zero")
     try:
@@ -102,7 +116,7 @@ def sharp(h) -> np.ndarray:
     An antiholomorphic automorphism of GL_N(C); a matrix is fixed exactly
     when it is unitary.
     """
-    return invert(dagger(as_matrix(h, square=True)))
+    return _invert(dagger(as_matrix(h, square=True)))
 
 
 def lie_sharp(x) -> np.ndarray:
@@ -151,6 +165,10 @@ def hermitian_sqrt(k, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def is_unitary(h, tol: float = DEFAULT_TOL) -> bool:
     """True when ``h^* h`` is within ``tol`` of the identity in Frobenius norm."""
-    h = as_matrix(h, square=True)
+    return _is_unitary(as_matrix(h, square=True), tol)
+
+
+def _is_unitary(h: np.ndarray, tol: float) -> bool:
+    """:func:`is_unitary` of a square complex matrix that is already checked."""
     eye = np.eye(h.shape[0], dtype=complex)
     return frob(dagger(h) @ h - eye) <= tol

@@ -34,7 +34,7 @@ from .errors import (
     DimensionMismatchError,
     QuiverMismatchError,
 )
-from .linalg import DEFAULT_TOL, MOMENT_CONVENTIONS, as_matrix, invert, relative
+from .linalg import DEFAULT_TOL, MOMENT_CONVENTIONS, _invert, as_matrix, relative
 from .weights import WeightDecomposition, _int, _weight_arrows
 
 # Cap applied to the default cycle length min(N^2, MAX_LEN_CAP).
@@ -247,7 +247,7 @@ def gauge_action(rep: DoubleQuiverRep, gs) -> DoubleQuiverRep:
     for v, (g, d) in enumerate(zip(mats, dq.dims)):
         if g.shape[0] != d:
             raise DimensionMismatchError(f"gauge at vertex {v} must be {d}x{d}, got {g.shape}")
-    invs = [invert(g) for g in mats]
+    invs = [_invert(g) for g in mats]
     new = {
         a.label: mats[a.head] @ rep.matrices[a.label] @ invs[a.tail]
         for a in dq.arrows
@@ -457,7 +457,7 @@ def cycle_trace(rep: DoubleQuiverRep, word: tuple[str, ...]) -> complex:
             here = a.head
         if here != first.tail:
             raise ValueError(f"word {word} is not closed")
-        trace = complex(np.trace(m))
+        trace = complex(m.trace())
     return _finite(word, trace)
 
 

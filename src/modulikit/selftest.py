@@ -75,7 +75,7 @@ def _rel(diff, scale):
 
 def _maxabs(m) -> float:
     """Largest entry modulus of ``m``, 0.0 when it is empty."""
-    return float(np.max(np.abs(m), initial=0.0))
+    return float(np.abs(m).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def _bruteforce_commutant_dim(d, rng):
         rows.append(np.kron(np.eye(n), f) - np.kron(f.T, np.eye(n)))
     stacked = np.vstack(rows)
     sv = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(sv < 1e-8))
+    return int((sv < 1e-8).sum())
 
 
 @_property(0.0, _failures)

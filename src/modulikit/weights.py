@@ -28,8 +28,6 @@ SAMPLE_COND_BOUND = 1e6
 # w_i - w_j, which the covariance checks and the gauge action use, is exact
 # in int64.
 WEIGHT_BOUND = 2**62
-# A weight entry of one of these types is a vector; any other is one integer.
-_VECTOR = (list, tuple, np.ndarray)
 
 
 def _int(value, path: str) -> int:
@@ -45,8 +43,13 @@ def _int(value, path: str) -> int:
     raise ValueError(f"{path} must be an integer, got {value!r}")
 
 
+def _is_vector(w) -> bool:
+    """A list, a tuple or an array with an axis is a weight vector; anything else is one integer."""
+    return isinstance(w, (list, tuple)) or isinstance(w, np.ndarray) and w.ndim > 0
+
+
 def _normalize_weight(w, rank: int, k: int) -> tuple[int, ...]:
-    if isinstance(w, _VECTOR):
+    if _is_vector(w):
         vec = tuple(_int(c, f"weights[{k}][{j}]") for j, c in enumerate(w))
     else:
         vec = (_int(w, f"weights[{k}]"),)
@@ -79,7 +82,7 @@ class WeightData:
         """Build weight data, inferring the rank from the first entry."""
         ws = list(weights)
         if rank is None:
-            rank = len(ws[0]) if ws and isinstance(ws[0], _VECTOR) else 1
+            rank = len(ws[0]) if ws and _is_vector(ws[0]) else 1
         return cls(rank=rank, weights=tuple(ws))
 
     @property
@@ -185,11 +188,11 @@ def phase_vector(d: WeightDecomposition, tau) -> np.ndarray:
         raise DimensionMismatchError(
             f"tau has shape {taus.shape}, expected ({d.rank},) for rank {d.rank}"
         )
-    if np.any(np.abs(np.abs(taus) - 1.0) > UNIT_MODULUS_TOL):
+    if (np.abs(np.abs(taus) - 1.0) > UNIT_MODULUS_TOL).any():
         raise NotUnitModulusError("every tau component must have modulus 1")
     out = np.ones(d.dim, dtype=complex)
     for block in d.blocks:
-        val = complex(np.prod(taus ** np.array(block.weight, dtype=int)))
+        val = complex((taus ** np.array(block.weight, dtype=int)).prod())
         out[list(block.indices)] = val
     return out
 
@@ -203,8 +206,12 @@ def commutant_contains(d: WeightDecomposition, h, tol: float = DEFAULT_TOL) -> b
     h = as_matrix(h, square=True)
     if h.shape[0] != d.dim:
         raise DimensionMismatchError(f"matrix is {h.shape[0]}x{h.shape[0]}, grading has dim {d.dim}")
-    off = h[d.shifts().any(axis=-1)]
-    return relative(frob(off), frob(h)) <= tol
+    return _in_commutant(h, d.shifts().any(axis=-1), tol)
+
+
+def _in_commutant(h: np.ndarray, off: np.ndarray, tol: float) -> bool:
+    """:func:`commutant_contains` of a checked ``h``, given the grading's off-block mask ``off``."""
+    return relative(frob(h[off]), frob(h)) <= tol
 
 
 def commutant_dim(d: WeightDecomposition) -> int:

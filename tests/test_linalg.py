@@ -262,3 +262,35 @@ def test_as_matrix_rejects_nonfinite():
 def test_as_matrix_rejects_entries_that_are_not_numbers():
     with pytest.raises(ValueError, match="matrix entries must be numbers"):
         linalg.as_matrix([[object()]])
+
+
+@pytest.mark.parametrize("text", [[["1", "2j"]], [["x"]], [[b"1"]], [[1.0, "2"]], [[None, "x"]]])
+def test_as_matrix_does_not_parse_text(text):
+    with pytest.raises(ValueError, match="matrix entries must be numbers"):
+        linalg.as_matrix(text)
+    with pytest.raises(ValueError, match="matrix entries must be numbers"):
+        linalg.as_matrix(np.array(text, dtype=object))
+
+
+def test_as_matrix_takes_a_complex_array_as_it_is():
+    m = cnormal(np.random.default_rng(SEED + 7), 3)
+    assert linalg.as_matrix(m) is m
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [[1, 2**53 + 1], [2**63 - 1, 2**64]],
+        [[True, 2.5], [1 + 2j, -0.0]],
+        np.array([[1.1, 2.2]], dtype=np.float32),
+        np.array([[1, -3]], dtype=np.int8),
+        np.array([[1 + 1j]], dtype=np.complex64),
+        np.array([[1 + 1j]], dtype=">c16"),
+        np.array([[1 + 1j, 2]]).view(type("Sub", (np.ndarray,), {})),
+    ],
+)
+def test_as_matrix_converts_numbers_as_numpy_does(raw):
+    got = linalg.as_matrix(raw)
+    want = np.asarray(raw, dtype=complex)
+    assert type(got) is np.ndarray and got.dtype == np.dtype(complex)
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()

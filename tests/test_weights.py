@@ -107,6 +107,19 @@ def test_weight_data_fields_must_be_integers(build, match):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: weights.WeightData.of([np.array(5)]),
+        lambda: weights.WeightData(rank=1, weights=(np.array(5),)),
+        lambda: weights.WeightData.of([np.array(5), 6]),
+    ],
+)
+def test_zero_dimensional_array_weight_is_one_value_checked_by_the_integer_rule(build):
+    with pytest.raises(ValueError, match=r"weights\[0\] must be an integer, got array\(5\)"):
+        build()
+
+
 def test_weight_data_accepts_numpy_integers():
     w = weights.WeightData(rank=np.int64(1), weights=tuple(np.arange(3)))
     assert w.rank == 1 and w.weights == ((0,), (1,), (2,))
